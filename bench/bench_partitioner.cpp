@@ -43,11 +43,14 @@ int main() {
       partition_with_cache(region.network, 64, 0, cache_dir, &hit);
   write_partition_chunks(region.network, partitioning, cache_dir);
   const double cold = cold_timer.elapsed_seconds();
+  // The network remembers its content hash, so the warm path runs on a
+  // fresh copy of the same network: a nightly process pays one hash.
+  const SyntheticRegion fresh = generate_region(config);
   Timer warm_timer;
   const Partitioning reloaded =
-      partition_with_cache(region.network, 64, 0, cache_dir, &hit);
+      partition_with_cache(fresh.network, 64, 0, cache_dir, &hit);
   const bool chunks_ready =
-      partition_chunks_cached(region.network, reloaded, cache_dir);
+      partition_chunks_cached(fresh.network, reloaded, cache_dir);
   const double warm = warm_timer.elapsed_seconds();
   compare("cold: partition + write 64 binary chunks",
           "CA at full scale: over an hour", fmt(cold * 1000.0, 1) + "ms");
@@ -61,7 +64,7 @@ int main() {
   const double edges_ratio =
       (39.5e6 * 26.0) / static_cast<double>(region.network.edge_count());
   compare("cold cost extrapolated to full-scale CA", "over an hour",
-          fmt(cold * edges_ratio / 60.0, 0) + " minutes");
+          fmt(cold * edges_ratio / 60.0, 1) + " minutes");
   note("  remaining gap vs 'over an hour': production re-parsed the CSV-text");
   note("  source (~3x the bytes) through a shared Lustre filesystem; this");
   note("  bench writes binary chunks to the local page cache");

@@ -5,6 +5,7 @@
 #   ./ci.sh lint       # epilint static analysis + optional clang-tidy
 #                      # (builds only the analyzer, not the libraries)
 #   ./ci.sh plain      # RelWithDebInfo build + tests + CommChecker pass
+#                      # + perfbench smoke test
 #   ./ci.sh proc       # shared-memory backend pass (EPI_MPILITE_BACKEND=shm,
 #                      # ranks as forked processes): mpilite + event-core +
 #                      # parallel-equivalence suites (all four exchange
@@ -117,6 +118,14 @@ run_plain() {
   cmp build/cycle-j1.txt build/cycle-j4.txt
   EPI_BENCH_JSON=build/perf-smoke ./build/bench/bench_farm_scaling
   echo "farm pass OK (serial and parallel reports byte-identical)"
+
+  echo "== benchmark smoke (perfbench) =="
+  # Every benchmark workload at toy scale, traced and untraced, with its
+  # output checks (read_binary round-trips to the same hash, chunk counts
+  # sum to edge_count(), serial == 4-rank, ...). A src/ change that breaks
+  # a workload fails here rather than in a benchmark run. Builds into the
+  # git-ignored .bench_build/.
+  python3 perfbench/test_perfbench.py
 }
 
 run_proc() {

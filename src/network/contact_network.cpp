@@ -1,8 +1,10 @@
 #include "network/contact_network.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -15,7 +17,23 @@ namespace epi {
 namespace {
 const char* const kActivityNames[kActivityTypeCount] = {
     "home", "work", "shopping", "other", "school", "college", "religion"};
+
+// A counting scatter uses the offsets array itself as the write cursors.
+// Call open_buckets when offsets[b + 1] holds the size of bucket b; then
+// offsets[b] is bucket b's first slot, and the caller writes each element
+// at offsets[b]++. That leaves offsets[b] at bucket b's end, which is
+// bucket b + 1's start, so close_buckets shifts the array back by one.
+void open_buckets(std::vector<EdgeIndex>& offsets) {
+  for (std::size_t b = 1; b < offsets.size(); ++b) {
+    offsets[b] += offsets[b - 1];
+  }
 }
+
+void close_buckets(std::vector<EdgeIndex>& offsets) {
+  std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
+  offsets.front() = 0;
+}
+}  // namespace
 
 const char* activity_name(ActivityType a) {
   const auto i = static_cast<std::size_t>(a);
@@ -30,22 +48,31 @@ ActivityType activity_from_name(const std::string& name) {
   throw ConfigError("unknown activity type: " + name);
 }
 
-void ContactNetwork::build_out_edges() {
+EdgeIndex ContactNetwork::build_out_edges() {
   // Counting sort of edge indices by source; visiting e in ascending order
   // leaves every bucket ascending, which the frontier kernel relies on to
-  // reproduce the in-CSR scan's edge order exactly.
+  // reproduce the in-CSR scan's edge order exactly. The counting pass also
+  // vets each edge, so a loaded file costs no extra pass; it is bound on
+  // its scattered increments, so the checks stay a few instructions.
   out_offsets_.assign(static_cast<std::size_t>(node_count_) + 1, 0);
-  for (const Contact& c : contacts_) {
-    ++out_offsets_[static_cast<std::size_t>(c.source) + 1];
+  const PersonId nodes = node_count_;
+  EdgeIndex* const out_degree = out_offsets_.data() + 1;
+  const Contact* const first = contacts_.data();
+  const Contact* const last = first + contacts_.size();
+  for (const Contact* c = first; c != last; ++c) {
+    if (c->source >= nodes || c->source_activity >= kActivityTypeCount ||
+        c->target_activity >= kActivityTypeCount) [[unlikely]] {
+      return static_cast<EdgeIndex>(c - first);
+    }
+    ++out_degree[c->source];
   }
-  for (std::size_t u = 0; u < node_count_; ++u) {
-    out_offsets_[u + 1] += out_offsets_[u];
-  }
+  open_buckets(out_offsets_);
   out_edges_.resize(contacts_.size());
-  std::vector<EdgeIndex> cursor(out_offsets_.begin(), out_offsets_.end() - 1);
   for (EdgeIndex e = 0; e < contacts_.size(); ++e) {
-    out_edges_[cursor[contacts_[e].source]++] = e;
+    out_edges_[out_offsets_[contacts_[e].source]++] = e;
   }
+  close_buckets(out_offsets_);
+  return edge_count();
 }
 
 PersonId ContactNetwork::target_of(EdgeIndex e) const {
@@ -66,19 +93,21 @@ double ContactNetwork::contact_minutes(PersonId v) const {
 std::uint64_t ContactNetwork::content_hash() const {
   // FNV-1a over the raw edge array plus the node count; stable across
   // runs because finalize() orders edges deterministically.
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ULL;
+  return hash_.get([this] {
+    std::uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](const void* data, std::size_t size) {
+      const auto* bytes = static_cast<const unsigned char*>(data);
+      for (std::size_t i = 0; i < size; ++i) {
+        h ^= bytes[i];
+        h *= 1099511628211ULL;
+      }
+    };
+    mix(&node_count_, sizeof(node_count_));
+    if (!contacts_.empty()) {
+      mix(contacts_.data(), contacts_.size() * sizeof(Contact));
     }
-  };
-  mix(&node_count_, sizeof(node_count_));
-  if (!contacts_.empty()) {
-    mix(contacts_.data(), contacts_.size() * sizeof(Contact));
-  }
-  return h;
+    return h;
+  });
 }
 
 void ContactNetwork::write_csv(std::ostream& out) const {
@@ -118,26 +147,32 @@ ContactNetwork ContactNetwork::read_csv(std::istream& in, PersonId node_count) {
     c.weight = static_cast<float>(table.cell_double(row, "weight"));
     edges.emplace_back(target, c);
   }
-  std::stable_sort(edges.begin(), edges.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Counting scatter: each bucket keeps its rows in file order.
   ContactNetwork net;
   net.node_count_ = node_count;
   net.offsets_.assign(static_cast<std::size_t>(node_count) + 1, 0);
-  net.contacts_.reserve(edges.size());
   for (const auto& [target, contact] : edges) {
     ++net.offsets_[static_cast<std::size_t>(target) + 1];
-    net.contacts_.push_back(contact);
   }
-  for (std::size_t v = 0; v < node_count; ++v) {
-    net.offsets_[v + 1] += net.offsets_[v];
+  open_buckets(net.offsets_);
+  net.contacts_.resize(edges.size());
+  for (const auto& [target, contact] : edges) {
+    net.contacts_[net.offsets_[target]++] = contact;
   }
+  close_buckets(net.offsets_);
   net.build_out_edges();
   return net;
 }
 
 namespace {
 constexpr std::uint64_t kBinaryMagic = 0x45504948495052ULL;  // "EPIHIPR"
+constexpr std::uint64_t kBinaryHeaderBytes = 3 * sizeof(std::uint64_t);
+
+[[noreturn]] void reject_binary(const std::string& path,
+                                const std::string& problem) {
+  throw ConfigError("invalid network binary " + path + ": " + problem);
 }
+}  // namespace
 
 void ContactNetwork::write_binary(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
@@ -162,18 +197,52 @@ ContactNetwork ContactNetwork::read_binary(const std::string& path) {
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   in.read(reinterpret_cast<char*>(&nodes), sizeof(nodes));
   in.read(reinterpret_cast<char*>(&edges), sizeof(edges));
-  EPI_REQUIRE(in.good() && magic == kBinaryMagic,
-              "not an EpiScale network binary: " << path);
+  if (!in.good() || magic != kBinaryMagic) {
+    reject_binary(path, "not an EpiScale network binary");
+  }
+  // Every count is checked against the file before it sizes an allocation.
+  if (nodes > std::numeric_limits<PersonId>::max()) {
+    reject_binary(path, "node count " + std::to_string(nodes) +
+                            " does not fit a PersonId");
+  }
+  const std::uint64_t file_bytes = std::filesystem::file_size(path);
+  const std::uint64_t offset_bytes = (nodes + 1) * sizeof(EdgeIndex);
+  const std::uint64_t fixed_bytes = kBinaryHeaderBytes + offset_bytes;
+  if (file_bytes < fixed_bytes ||
+      (file_bytes - fixed_bytes) % sizeof(Contact) != 0 ||
+      (file_bytes - fixed_bytes) / sizeof(Contact) != edges) {
+    reject_binary(path, "header declares " + std::to_string(nodes) +
+                            " nodes and " + std::to_string(edges) +
+                            " edges, but the file holds " +
+                            std::to_string(file_bytes) + " bytes");
+  }
   ContactNetwork net;
   net.node_count_ = static_cast<PersonId>(nodes);
   net.offsets_.resize(nodes + 1);
   net.contacts_.resize(edges);
   in.read(reinterpret_cast<char*>(net.offsets_.data()),
-          static_cast<std::streamsize>(net.offsets_.size() * sizeof(EdgeIndex)));
+          static_cast<std::streamsize>(offset_bytes));
   in.read(reinterpret_cast<char*>(net.contacts_.data()),
-          static_cast<std::streamsize>(net.contacts_.size() * sizeof(Contact)));
-  EPI_REQUIRE(in.good(), "truncated network binary: " << path);
-  net.build_out_edges();
+          static_cast<std::streamsize>(edges * sizeof(Contact)));
+  if (!in.good()) reject_binary(path, "short read");
+  if (net.offsets_.front() != 0 || net.offsets_.back() != edges) {
+    reject_binary(path, "offsets do not run from 0 to the edge count");
+  }
+  for (std::size_t v = 0; v < nodes; ++v) {
+    if (net.offsets_[v + 1] < net.offsets_[v]) {
+      reject_binary(path, "offsets decrease at node " + std::to_string(v));
+    }
+  }
+  const EdgeIndex bad = net.build_out_edges();
+  if (bad != edges) {
+    const PersonId source = net.contacts_[bad].source;
+    reject_binary(path, "edge " + std::to_string(bad) +
+                            (source >= nodes
+                                 ? " has source " + std::to_string(source) +
+                                       " but there are " +
+                                       std::to_string(nodes) + " nodes"
+                                 : " has an unknown activity"));
+  }
   return net;
 }
 
@@ -188,39 +257,43 @@ void ContactNetworkBuilder::add_contact(PersonId u, PersonId v,
   EPI_REQUIRE(u < node_count_ && v < node_count_,
               "contact endpoint out of range: " << u << ", " << v);
   EPI_REQUIRE(u != v, "self-contact not allowed: " << u);
-  Contact to_v;
-  to_v.source = u;
-  to_v.start_minute = start_minute;
-  to_v.duration_minutes = duration_minutes;
-  to_v.source_activity = static_cast<std::uint8_t>(u_activity);
-  to_v.target_activity = static_cast<std::uint8_t>(v_activity);
-  to_v.weight = weight;
-  pending_.push_back({v, to_v});
-
-  Contact to_u = to_v;
-  to_u.source = v;
-  to_u.source_activity = static_cast<std::uint8_t>(v_activity);
-  to_u.target_activity = static_cast<std::uint8_t>(u_activity);
-  pending_.push_back({u, to_u});
-  ++undirected_count_;
+  pending_.push_back({u, v, start_minute, duration_minutes,
+                      static_cast<std::uint8_t>(u_activity),
+                      static_cast<std::uint8_t>(v_activity), weight});
 }
 
 ContactNetwork ContactNetworkBuilder::finalize() && {
-  std::stable_sort(
-      pending_.begin(), pending_.end(),
-      [](const PendingEdge& a, const PendingEdge& b) { return a.target < b.target; });
+  // Counting scatter: size every target's bucket, then write each
+  // contact's two directed edges at their buckets' next slots in insertion
+  // order — stable by construction, so no sort is needed.
   ContactNetwork net;
   net.node_count_ = node_count_;
   net.offsets_.assign(static_cast<std::size_t>(node_count_) + 1, 0);
-  net.contacts_.reserve(pending_.size());
-  for (const auto& edge : pending_) {
-    ++net.offsets_[static_cast<std::size_t>(edge.target) + 1];
-    net.contacts_.push_back(edge.contact);
+  for (const PendingContact& p : pending_) {
+    ++net.offsets_[static_cast<std::size_t>(p.v) + 1];
+    ++net.offsets_[static_cast<std::size_t>(p.u) + 1];
   }
-  for (std::size_t v = 0; v < node_count_; ++v) {
-    net.offsets_[v + 1] += net.offsets_[v];
+  open_buckets(net.offsets_);
+  net.contacts_.resize(2 * pending_.size());
+  for (const PendingContact& p : pending_) {
+    Contact to_v;
+    to_v.source = p.u;
+    to_v.start_minute = p.start_minute;
+    to_v.duration_minutes = p.duration_minutes;
+    to_v.source_activity = p.u_activity;
+    to_v.target_activity = p.v_activity;
+    to_v.weight = p.weight;
+    net.contacts_[net.offsets_[p.v]++] = to_v;
+
+    Contact to_u = to_v;
+    to_u.source = p.v;
+    to_u.source_activity = p.v_activity;
+    to_u.target_activity = p.u_activity;
+    net.contacts_[net.offsets_[p.u]++] = to_u;
   }
-  pending_.clear();
+  close_buckets(net.offsets_);
+  // Release the contacts before the transpose allocates.
+  std::vector<PendingContact>().swap(pending_);
   net.build_out_edges();
   return net;
 }

@@ -16,6 +16,7 @@
 // contact network can be turned on and off dynamically").
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <span>
@@ -97,7 +98,9 @@ class ContactNetwork {
   /// Total duration-weighted contact minutes incident to v (incoming).
   double contact_minutes(PersonId v) const;
 
-  /// A stable 64-bit content hash (used as the partition-cache key).
+  /// A stable 64-bit content hash (used as the partition-cache and chunk
+  /// file key). Computed on the first call and remembered; safe to call
+  /// from several threads sharing one const network.
   std::uint64_t content_hash() const;
 
   // --- I/O --------------------------------------------------------------
@@ -108,14 +111,63 @@ class ContactNetwork {
   static ContactNetwork read_csv(std::istream& in, PersonId node_count);
 
   /// Compact binary format ("due to its large size, [the network] is in
-  /// csv or binary format"). Round-trips exactly.
+  /// csv or binary format"). Round-trips exactly. read_binary checks the
+  /// header against the file size before allocating, and the offsets and
+  /// edges before indexing with them; a malformed file throws ConfigError.
   void write_binary(const std::string& path) const;
   static ContactNetwork read_binary(const std::string& path);
 
   friend class ContactNetworkBuilder;
 
  private:
-  void build_out_edges();
+  /// content_hash() memo. Threads racing on the first call may each
+  /// compute the hash, but all store the same value. A copy carries the
+  /// memo with the edges it describes; a move leaves the source unhashed.
+  class HashMemo {
+   public:
+    HashMemo() = default;
+    HashMemo(const HashMemo& other) noexcept { copy_from(other); }
+    HashMemo(HashMemo&& other) noexcept {
+      copy_from(other);
+      other.ready_.store(false, std::memory_order_relaxed);
+    }
+    HashMemo& operator=(const HashMemo& other) noexcept {
+      copy_from(other);
+      return *this;
+    }
+    HashMemo& operator=(HashMemo&& other) noexcept {
+      copy_from(other);
+      other.ready_.store(false, std::memory_order_relaxed);
+      return *this;
+    }
+
+    template <typename Compute>
+    std::uint64_t get(Compute compute) const {
+      if (ready_.load(std::memory_order_acquire)) {
+        return value_.load(std::memory_order_relaxed);
+      }
+      const std::uint64_t value = compute();
+      value_.store(value, std::memory_order_relaxed);
+      ready_.store(true, std::memory_order_release);
+      return value;
+    }
+
+   private:
+    void copy_from(const HashMemo& other) noexcept {
+      const bool ready = other.ready_.load(std::memory_order_acquire);
+      value_.store(other.value_.load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+      ready_.store(ready, std::memory_order_release);
+    }
+    mutable std::atomic<bool> ready_{false};
+    mutable std::atomic<std::uint64_t> value_{0};
+  };
+
+  /// Builds the out-edge transpose. Returns the index of the first edge
+  /// whose source is not a node or whose activity is unknown (the
+  /// transpose is then unusable), or edge_count() when every edge is
+  /// well formed. Only read_binary can meet such an edge.
+  EdgeIndex build_out_edges();
 
   PersonId node_count_ = 0;
   std::vector<EdgeIndex> offsets_;  // node_count_ + 1 entries
@@ -124,6 +176,7 @@ class ContactNetwork {
   // ascending indices of the edges sourced at u.
   std::vector<EdgeIndex> out_offsets_;  // node_count_ + 1 entries
   std::vector<EdgeIndex> out_edges_;    // edge_count() entries
+  HashMemo hash_;
 };
 
 /// Accumulates undirected contacts, then finalizes into CSR form.
@@ -138,19 +191,28 @@ class ContactNetworkBuilder {
                    std::uint16_t duration_minutes, ActivityType u_activity,
                    ActivityType v_activity, float weight = 1.0f);
 
-  std::uint64_t contact_count() const { return undirected_count_; }
+  std::uint64_t contact_count() const { return pending_.size(); }
 
-  /// Builds the CSR network. The builder is consumed.
+  /// Builds the CSR network in O(nodes + contacts). The builder is
+  /// consumed. Bucket order: contact i contributes u->v to v's bucket and
+  /// v->u to u's bucket, and every bucket lists its edges in the order
+  /// their contacts were added — the order a stable sort by target of the
+  /// interleaved half-edges (u->v, v->u, u'->v', ...) gives.
   ContactNetwork finalize() &&;
 
  private:
-  struct PendingEdge {
-    PersonId target;
-    Contact contact;
+  /// One undirected contact as added; 20 bytes.
+  struct PendingContact {
+    PersonId u;
+    PersonId v;
+    std::uint16_t start_minute;
+    std::uint16_t duration_minutes;
+    std::uint8_t u_activity;
+    std::uint8_t v_activity;
+    float weight;
   };
   PersonId node_count_;
-  std::vector<PendingEdge> pending_;
-  std::uint64_t undirected_count_ = 0;
+  std::vector<PendingContact> pending_;
 };
 
 /// Per-context directed-edge counts plus degree summary — the numbers

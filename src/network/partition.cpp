@@ -44,7 +44,37 @@ double Partitioning::edge_imbalance() const {
 
 namespace {
 constexpr std::uint64_t kPartitionMagic = 0x455049504152ULL;  // "EPIPAR"
+constexpr std::uint64_t kChunkMagic = 0x455049434855ULL;  // "EPICHU"
+
+/// Reads a file of `magic`, a record count, then the records; `kind`
+/// names the file in errors. The count is checked against the file size
+/// before it sizes an allocation.
+template <typename Record>
+std::vector<Record> read_records(const std::string& path, std::uint64_t magic,
+                                 const std::string& kind) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw ConfigError("cannot read " + kind + ": " + path);
+  std::uint64_t found = 0, count = 0;
+  in.read(reinterpret_cast<char*>(&found), sizeof(found));
+  in.read(reinterpret_cast<char*>(&count), sizeof(count));
+  if (!in.good() || found != magic) {
+    throw ConfigError("not a " + kind + " file: " + path);
+  }
+  const std::uint64_t record_bytes =
+      std::filesystem::file_size(path) - sizeof(found) - sizeof(count);
+  if (record_bytes % sizeof(Record) != 0 ||
+      record_bytes / sizeof(Record) != count) {
+    throw ConfigError("invalid " + kind + " " + path + ": header declares " +
+                      std::to_string(count) + " records, but the file holds " +
+                      std::to_string(record_bytes) + " bytes of records");
+  }
+  std::vector<Record> records(count);
+  in.read(reinterpret_cast<char*>(records.data()),
+          static_cast<std::streamsize>(record_bytes));
+  if (!in.good()) throw ConfigError("short read of " + kind + " " + path);
+  return records;
 }
+}  // namespace
 
 void Partitioning::save(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
@@ -59,18 +89,8 @@ void Partitioning::save(const std::string& path) const {
 }
 
 Partitioning Partitioning::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ConfigError("cannot read partition cache: " + path);
-  std::uint64_t magic = 0, count = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  EPI_REQUIRE(in.good() && magic == kPartitionMagic,
-              "not a partition cache file: " << path);
-  std::vector<Partition> parts(count);
-  in.read(reinterpret_cast<char*>(parts.data()),
-          static_cast<std::streamsize>(count * sizeof(Partition)));
-  EPI_REQUIRE(in.good(), "truncated partition cache: " << path);
-  return Partitioning(std::move(parts));
+  return Partitioning(
+      read_records<Partition>(path, kPartitionMagic, "partition cache"));
 }
 
 Partitioning partition_network(const ContactNetwork& network,
@@ -123,8 +143,6 @@ std::string partition_cache_filename(const ContactNetwork& network,
 
 namespace {
 
-constexpr std::uint64_t kChunkMagic = 0x455049434855ULL;  // "EPICHU"
-
 std::string chunk_filename(std::uint64_t network_hash, std::size_t index) {
   std::ostringstream oss;
   oss << "chunk_" << std::hex << network_hash << std::dec << "_" << index
@@ -151,9 +169,10 @@ std::vector<std::string> write_partition_chunks(const ContactNetwork& network,
     const std::uint64_t count = part.edge_count();
     out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
     out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    for (EdgeIndex e = part.edge_begin; e < part.edge_end; ++e) {
-      const Contact& c = network.contact(e);
-      out.write(reinterpret_cast<const char*>(&c), sizeof(Contact));
+    if (count > 0) {
+      // A partition's edges are one contiguous CSR range.
+      out.write(reinterpret_cast<const char*>(&network.contact(part.edge_begin)),
+                static_cast<std::streamsize>(count * sizeof(Contact)));
     }
     EPI_REQUIRE(out.good(), "short write to chunk " << path.string());
     paths.push_back(path.string());
@@ -162,17 +181,7 @@ std::vector<std::string> write_partition_chunks(const ContactNetwork& network,
 }
 
 std::vector<Contact> read_partition_chunk(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ConfigError("cannot read chunk: " + path);
-  std::uint64_t magic = 0, count = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  EPI_REQUIRE(in.good() && magic == kChunkMagic, "not a chunk file: " << path);
-  std::vector<Contact> contacts(count);
-  in.read(reinterpret_cast<char*>(contacts.data()),
-          static_cast<std::streamsize>(count * sizeof(Contact)));
-  EPI_REQUIRE(in.good(), "truncated chunk: " << path);
-  return contacts;
+  return read_records<Contact>(path, kChunkMagic, "chunk");
 }
 
 bool partition_chunks_cached(const ContactNetwork& network,
@@ -194,15 +203,19 @@ std::vector<PersonId> compute_ghost_sources(const ContactNetwork& network,
   EPI_REQUIRE(part_index < partitioning.size(),
               "partition index " << part_index << " out of range");
   const Partition& part = partitioning.part(part_index);
-  std::vector<PersonId> ghosts;
+  // Mark remote sources in a node-indexed array, then read the marks back
+  // in node order: sorted and deduplicated without sorting.
+  std::vector<std::uint8_t> remote(network.node_count(), 0);
   for (EdgeIndex e = part.edge_begin; e < part.edge_end; ++e) {
     const PersonId source = network.contact(e).source;
     if (source < part.node_begin || source >= part.node_end) {
-      ghosts.push_back(source);
+      remote[source] = 1;
     }
   }
-  std::sort(ghosts.begin(), ghosts.end());
-  ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
+  std::vector<PersonId> ghosts;
+  for (PersonId v = 0; v < network.node_count(); ++v) {
+    if (remote[v] != 0) ghosts.push_back(v);
+  }
   return ghosts;
 }
 

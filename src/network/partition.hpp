@@ -49,7 +49,9 @@ class Partitioning {
   /// Load imbalance: max partition edge count / mean partition edge count.
   double edge_imbalance() const;
 
-  /// Binary round-trip for the on-disk partition cache.
+  /// Binary round-trip for the on-disk partition cache. load() checks the
+  /// header's count against the file size before allocating; a malformed
+  /// file throws ConfigError.
   void save(const std::string& path) const;
   static Partitioning load(const std::string& path);
 
@@ -88,7 +90,9 @@ std::vector<std::string> write_partition_chunks(const ContactNetwork& network,
                                                 const Partitioning& partitioning,
                                                 const std::string& directory);
 
-/// Loads one chunk file back: the contacts of partition `index`.
+/// Loads one chunk file back: the contacts of partition `index`. The
+/// header's count is checked against the file size before allocating; a
+/// malformed file throws ConfigError.
 std::vector<Contact> read_partition_chunk(const std::string& path);
 
 /// True if every chunk file for this (network, partitioning) already
@@ -101,8 +105,9 @@ bool partition_chunks_cached(const ContactNetwork& network,
 /// *remote* persons appearing as Contact::source on the partition's
 /// in-edges. These are exactly the persons whose infectious status the
 /// owning rank must learn from its neighbors each tick — the halo of the
-/// partition. Cost is one scan of the partition's own edge range, so each
-/// rank can compute its own list independently.
+/// partition. Cost is one scan of the partition's own edge range plus one
+/// pass over the node ids, so each rank can compute its own list
+/// independently.
 std::vector<PersonId> compute_ghost_sources(const ContactNetwork& network,
                                             const Partitioning& partitioning,
                                             std::size_t part_index);

@@ -4,12 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <latch>
 #include <set>
 #include <sstream>
+#include <thread>
 
+#include "synthpop/generator.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace epi {
 namespace {
@@ -23,6 +29,76 @@ ContactNetwork make_line_network(PersonId n) {
                         ActivityType::kShopping, 1.0f + static_cast<float>(i));
   }
   return std::move(builder).finalize();
+}
+
+/// One directed edge with the bucket it belongs to.
+struct HalfEdge {
+  PersonId target;
+  Contact contact;
+};
+
+/// A seeded random multigraph on 200 nodes: repeated pairs, both endpoint
+/// orders, all seven contexts, and nodes 180..199 isolated. Returns the
+/// builder's network and the half-edges in insertion order (u->v, then
+/// v->u, contact by contact).
+std::pair<ContactNetwork, std::vector<HalfEdge>> random_multigraph(
+    std::uint64_t seed) {
+  constexpr PersonId kNodes = 200;
+  constexpr PersonId kLinked = 180;
+  Rng rng(seed);
+  ContactNetworkBuilder builder(kNodes);
+  std::vector<HalfEdge> half_edges;
+  auto add = [&](PersonId u, PersonId v) {
+    Contact to_v;
+    to_v.source = u;
+    to_v.start_minute = static_cast<std::uint16_t>(rng.uniform_index(1440));
+    to_v.duration_minutes = static_cast<std::uint16_t>(1 + rng.uniform_index(600));
+    to_v.source_activity =
+        static_cast<std::uint8_t>(rng.uniform_index(kActivityTypeCount));
+    to_v.target_activity =
+        static_cast<std::uint8_t>(rng.uniform_index(kActivityTypeCount));
+    to_v.weight = 0.25f * static_cast<float>(1 + rng.uniform_index(8));
+    builder.add_contact(u, v, to_v.start_minute, to_v.duration_minutes,
+                        static_cast<ActivityType>(to_v.source_activity),
+                        static_cast<ActivityType>(to_v.target_activity),
+                        to_v.weight);
+    Contact to_u = to_v;
+    to_u.source = v;
+    std::swap(to_u.source_activity, to_u.target_activity);
+    half_edges.push_back({v, to_v});
+    half_edges.push_back({u, to_u});
+  };
+  for (int i = 0; i < 1500; ++i) {
+    const auto u = static_cast<PersonId>(rng.uniform_index(kLinked));
+    const auto v = static_cast<PersonId>(rng.uniform_index(kLinked));
+    if (u == v) continue;
+    add(u, v);
+    if (i % 7 == 0) add(v, u);  // the same pair again, endpoints swapped
+    if (i % 11 == 0) add(u, v);  // the same pair again, same order
+  }
+  return {std::move(builder).finalize(), std::move(half_edges)};
+}
+
+/// The bucket order the CSR promises, computed the way finalize() did
+/// before its counting scatter: a stable sort of the half-edges by target.
+std::vector<HalfEdge> stable_reference(std::vector<HalfEdge> edges) {
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const HalfEdge& a, const HalfEdge& b) {
+                     return a.target < b.target;
+                   });
+  return edges;
+}
+
+void expect_csr_equals(const ContactNetwork& net,
+                       const std::vector<HalfEdge>& expected) {
+  ASSERT_EQ(net.edge_count(), expected.size());
+  for (EdgeIndex e = 0; e < net.edge_count(); ++e) {
+    EXPECT_EQ(net.target_of(e), expected[e].target) << "edge " << e;
+    EXPECT_EQ(std::memcmp(&net.contact(e), &expected[e].contact,
+                          sizeof(Contact)),
+              0)
+        << "edge " << e;
+  }
 }
 
 TEST(ActivityType, NamesRoundTrip) {
@@ -100,6 +176,78 @@ TEST(ContactNetwork, ContentHashStableAndSensitive) {
   EXPECT_NE(a.content_hash(), c.content_hash());
 }
 
+TEST(ContactNetwork, FinalizeMatchesStableSortOrder) {
+  const auto [net, half_edges] = random_multigraph(2020);
+  // The input covers what the order contract has to survive.
+  std::set<std::uint8_t> contexts;
+  bool ascending = false, descending = false;
+  for (std::size_t i = 0; i < half_edges.size(); i += 2) {
+    contexts.insert(half_edges[i].contact.source_activity);
+    ascending |= half_edges[i].contact.source < half_edges[i].target;
+    descending |= half_edges[i].contact.source > half_edges[i].target;
+  }
+  EXPECT_EQ(contexts.size(), static_cast<std::size_t>(kActivityTypeCount));
+  EXPECT_TRUE(ascending && descending);
+  EXPECT_EQ(compute_stats(net).isolated_nodes, 20u);
+  expect_csr_equals(net, stable_reference(half_edges));
+}
+
+TEST(ContactNetwork, ReadCsvKeepsFileOrderWithinBuckets) {
+  auto [net, half_edges] = random_multigraph(7);
+  Rng rng(8);
+  rng.shuffle(half_edges.begin(), half_edges.end());
+  std::stringstream csv;
+  csv << "targetPID,sourcePID,targetActivity,sourceActivity,start,duration,"
+         "weight\n";
+  for (const HalfEdge& h : half_edges) {
+    const Contact& c = h.contact;
+    csv << h.target << ',' << c.source << ','
+        << activity_name(static_cast<ActivityType>(c.target_activity)) << ','
+        << activity_name(static_cast<ActivityType>(c.source_activity)) << ','
+        << c.start_minute << ',' << c.duration_minutes << ',' << c.weight
+        << '\n';
+  }
+  expect_csr_equals(ContactNetwork::read_csv(csv, net.node_count()),
+                    stable_reference(half_edges));
+}
+
+TEST(ContactNetwork, ContentHashMemoSafeAcrossThreads) {
+  const ContactNetwork shared = random_multigraph(3).first;
+  const std::uint64_t expected = random_multigraph(3).first.content_hash();
+  constexpr int kThreads = 4;
+  std::vector<std::uint64_t> seen(kThreads, 0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      seen[static_cast<std::size_t>(i)] = shared.content_hash();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::uint64_t h : seen) EXPECT_EQ(h, expected);
+}
+
+TEST(ContactNetwork, ContentHashFollowsCopiesAndMoves) {
+  const std::uint64_t expected = make_line_network(9).content_hash();
+  ContactNetwork hashed = make_line_network(9);
+  const ContactNetwork unhashed_copy = hashed;
+  EXPECT_EQ(hashed.content_hash(), expected);
+  const ContactNetwork hashed_copy = hashed;
+  EXPECT_EQ(hashed_copy.content_hash(), expected);
+  EXPECT_EQ(unhashed_copy.content_hash(), expected);
+  const ContactNetwork moved = std::move(hashed);
+  EXPECT_EQ(moved.content_hash(), expected);
+  ContactNetwork assigned = make_line_network(4);
+  EXPECT_NE(assigned.content_hash(), expected);
+  assigned = hashed_copy;
+  EXPECT_EQ(assigned.content_hash(), expected);
+  ContactNetwork move_assigned = make_line_network(4);
+  EXPECT_NE(move_assigned.content_hash(), expected);
+  move_assigned = std::move(assigned);
+  EXPECT_EQ(move_assigned.content_hash(), expected);
+}
+
 TEST(ContactNetwork, CsvRoundTrip) {
   const ContactNetwork net = make_line_network(5);
   std::stringstream buffer;
@@ -127,6 +275,106 @@ TEST(ContactNetwork, BinaryRejectsGarbage) {
   }
   EXPECT_THROW(ContactNetwork::read_binary(path), Error);
   std::filesystem::remove(path);
+}
+
+// --- Malformed network binaries and chunk files ---------------------------
+
+/// Overwrites the bytes of `value` at `offset` in an existing file.
+template <typename T>
+void patch(const std::string& path, std::uint64_t offset, T value) {
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/// The ConfigError message `read` throws, or "" when it throws none.
+std::string config_error(const std::function<void()>& read) {
+  try {
+    read();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+class MalformedBinary : public ::testing::Test {
+ protected:
+  // Layout: magic, node count, edge count (u64 each), node_count + 1
+  // offsets (u64), then the 16-byte contacts.
+  static constexpr PersonId kNodes = 12;
+  static constexpr std::uint64_t kEdgeCountAt = 16;
+  static constexpr std::uint64_t kOffsetsAt = 24;
+  static constexpr std::uint64_t kContactsAt = kOffsetsAt + (kNodes + 1) * 8;
+
+  void SetUp() override { make_line_network(kNodes).write_binary(path_); }
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  /// read_binary's ConfigError message; it must name the file.
+  std::string error() const {
+    const std::string message =
+        config_error([this] { ContactNetwork::read_binary(path_); });
+    EXPECT_NE(message.find(path_), std::string::npos) << message;
+    return message;
+  }
+
+  // One file per test: ctest runs the tests as concurrent processes.
+  const std::string path_ =
+      (std::filesystem::temp_directory_path() /
+       (std::string("episcale_test_malformed_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".bin"))
+          .string();
+};
+
+TEST_F(MalformedBinary, TruncatedFile) {
+  std::filesystem::resize_file(path_, std::filesystem::file_size(path_) - 5);
+  EXPECT_NE(error().find("but the file holds"), std::string::npos);
+}
+
+TEST_F(MalformedBinary, InflatedEdgeCount) {
+  patch<std::uint64_t>(path_, kEdgeCountAt, 1ULL << 60);
+  EXPECT_NE(error().find("1152921504606846976 edges"), std::string::npos);
+}
+
+TEST_F(MalformedBinary, NodeCountBeyondPersonId) {
+  patch<std::uint64_t>(path_, 8, 1ULL << 33);
+  EXPECT_NE(error().find("does not fit a PersonId"), std::string::npos);
+}
+
+TEST_F(MalformedBinary, NonMonotoneOffsets) {
+  patch<std::uint64_t>(path_, kOffsetsAt + 4 * 8, 1);  // offsets[4] < [3]
+  EXPECT_NE(error().find("offsets decrease at node 3"), std::string::npos);
+  make_line_network(kNodes).write_binary(path_);
+  patch<std::uint64_t>(path_, kOffsetsAt, 1);  // offsets[0] != 0
+  EXPECT_NE(error().find("offsets do not run from 0"), std::string::npos);
+}
+
+TEST_F(MalformedBinary, OutOfRangeSource) {
+  patch<PersonId>(path_, kContactsAt + 5 * sizeof(Contact), kNodes + 7);
+  EXPECT_NE(error().find("edge 5 has source 19 but there are 12 nodes"),
+            std::string::npos);
+}
+
+TEST_F(MalformedBinary, UnknownActivity) {
+  patch<std::uint8_t>(path_, kContactsAt + 2 * sizeof(Contact) + 8, 9);
+  EXPECT_NE(error().find("edge 2 has an unknown activity"), std::string::npos);
+}
+
+TEST(PartitionChunks, RejectsInflatedCount) {
+  const ContactNetwork net = make_line_network(30);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "episcale_test_badcount")
+          .string();
+  std::filesystem::remove_all(dir);
+  const auto paths = write_partition_chunks(net, partition_network(net, 2), dir);
+  patch<std::uint64_t>(paths[0], 8, 1ULL << 60);
+  const std::string message =
+      config_error([&] { read_partition_chunk(paths[0]); });
+  EXPECT_NE(message.find(paths[0]), std::string::npos) << message;
+  EXPECT_NE(message.find("header declares 1152921504606846976 records"),
+            std::string::npos)
+      << message;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(NetworkStats, CountsContextsAndDegrees) {
@@ -209,6 +457,20 @@ TEST(Partition, SaveLoadRoundTrip) {
     EXPECT_EQ(restored.part(i).node_begin, parts.part(i).node_begin);
     EXPECT_EQ(restored.part(i).edge_end, parts.part(i).edge_end);
   }
+  std::filesystem::remove(path);
+}
+
+TEST(Partition, LoadRejectsInflatedCount) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "episcale_test_badparts.bin")
+          .string();
+  partition_network(make_line_network(40), 3).save(path);
+  patch<std::uint64_t>(path, 8, 1ULL << 60);
+  const std::string message = config_error([&] { Partitioning::load(path); });
+  EXPECT_NE(message.find(path), std::string::npos) << message;
+  EXPECT_NE(message.find("header declares 1152921504606846976 records"),
+            std::string::npos)
+      << message;
   std::filesystem::remove(path);
 }
 
@@ -333,20 +595,29 @@ TEST(ContactNetwork, OutEdgeTransposeSurvivesBinaryRoundTrip) {
 // --- Ghost sources (the halo each rank subscribes to) --------------------
 
 TEST(Partition, GhostSourcesAreExactlyRemoteInEdgeSources) {
-  const ContactNetwork net = make_line_network(40);
-  const Partitioning parts = partition_network(net, 5);
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const Partition& part = parts.part(i);
-    // Brute-force reference: remote sources over this part's edge range.
-    std::set<PersonId> expected;
-    for (EdgeIndex e = part.edge_begin; e < part.edge_end; ++e) {
-      const PersonId s = net.contact(e).source;
-      if (s < part.node_begin || s >= part.node_end) expected.insert(s);
+  const ContactNetwork line = make_line_network(40);
+  SynthPopConfig config;
+  config.region = "VT";
+  config.scale = 1.0 / 200.0;
+  const ContactNetwork generated = generate_region(config).network;
+  const std::vector<std::pair<const ContactNetwork*, std::size_t>> cases = {
+      {&line, 5}, {&generated, 4}, {&generated, 8}};
+  for (const auto& [net, count] : cases) {
+    const Partitioning parts = partition_network(*net, count);
+    ASSERT_EQ(parts.size(), count);
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      const Partition& part = parts.part(i);
+      // Brute-force reference: remote sources over this part's edge range.
+      std::set<PersonId> expected;
+      for (EdgeIndex e = part.edge_begin; e < part.edge_end; ++e) {
+        const PersonId s = net->contact(e).source;
+        if (s < part.node_begin || s >= part.node_end) expected.insert(s);
+      }
+      const auto ghosts = compute_ghost_sources(*net, parts, i);
+      EXPECT_TRUE(std::is_sorted(ghosts.begin(), ghosts.end()));
+      EXPECT_EQ(std::set<PersonId>(ghosts.begin(), ghosts.end()), expected);
+      EXPECT_EQ(ghosts.size(), expected.size());  // no duplicates
     }
-    const auto ghosts = compute_ghost_sources(net, parts, i);
-    EXPECT_TRUE(std::is_sorted(ghosts.begin(), ghosts.end()));
-    EXPECT_EQ(std::set<PersonId>(ghosts.begin(), ghosts.end()), expected);
-    EXPECT_EQ(ghosts.size(), expected.size());  // no duplicates
   }
 }
 

@@ -357,6 +357,18 @@ TEST_F(GeneratedRegion, DeterministicForSameSeed) {
             region().population.person_count());
 }
 
+// Determinism tests compare two runs of the same code, so a change to the
+// CSR edge order would pass them; these pins catch it.
+TEST_F(GeneratedRegion, ContentHashPinned) {
+  EXPECT_EQ(region().network.content_hash(), 3788971585256672657ULL);
+  SynthPopConfig config;
+  config.region = "WY";
+  config.scale = 1.0 / 100.0;
+  config.seed = 20200325;
+  EXPECT_EQ(generate_region(config).network.content_hash(),
+            99070880375428224ULL);
+}
+
 TEST(Generator, DifferentSeedsDifferentNetworks) {
   SynthPopConfig a, b;
   a.region = b.region = "DC";
