@@ -105,6 +105,16 @@ run_plain() {
   done
   echo "exchange-mode byte-diff OK (broadcast == ghost == event == adaptive)"
 
+  echo "== benchmark smoke (perfbench) =="
+  # Every benchmark workload at toy scale, traced and untraced, with its
+  # output checks (read_binary round-trips to the same hash, chunk counts
+  # sum to edge_count(), serial == 4-rank, ...). A src/ change that breaks
+  # a workload fails here rather than in a benchmark run. Builds into the
+  # git-ignored .bench_build/. It runs before the farm pass, whose >= 2x
+  # scaling gate depends on the host's free cores, so a farm-gate failure
+  # still fails the lane but no longer hides the smoke test's verdict.
+  python3 perfbench/test_perfbench.py
+
   echo "== farm pass (EPI_JOBS) =="
   # The deterministic executor's contract, end to end: the calibration
   # cycle must produce a byte-identical result under EPI_JOBS=1 (the
@@ -118,14 +128,6 @@ run_plain() {
   cmp build/cycle-j1.txt build/cycle-j4.txt
   EPI_BENCH_JSON=build/perf-smoke ./build/bench/bench_farm_scaling
   echo "farm pass OK (serial and parallel reports byte-identical)"
-
-  echo "== benchmark smoke (perfbench) =="
-  # Every benchmark workload at toy scale, traced and untraced, with its
-  # output checks (read_binary round-trips to the same hash, chunk counts
-  # sum to edge_count(), serial == 4-rank, ...). A src/ change that breaks
-  # a workload fails here rather than in a benchmark run. Builds into the
-  # git-ignored .bench_build/.
-  python3 perfbench/test_perfbench.py
 }
 
 run_proc() {

@@ -1,6 +1,7 @@
 #include "epihiper/disease_model.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "util/error.hpp"
 
@@ -34,7 +35,10 @@ DwellTime DwellTime::discrete(std::vector<std::pair<double, double>> outcomes) {
               "discrete dwell probabilities sum to " << total << ", not 1");
   DwellTime d;
   d.kind_ = Kind::kDiscrete;
-  d.outcomes_ = std::move(outcomes);
+  for (const auto& [days, prob] : outcomes) {
+    d.outcome_days_.push_back(days);
+    d.outcome_weights_.push_back(prob);
+  }
   return d;
 }
 
@@ -46,13 +50,9 @@ Tick DwellTime::sample(Rng& rng) const {
       // Truncated at 0.5 so rounding can never yield a non-positive dwell.
       days = rng.truncated_normal(mean_days_, stddev_days_, 0.5, 60.0);
       break;
-    case Kind::kDiscrete: {
-      std::vector<double> weights;
-      weights.reserve(outcomes_.size());
-      for (const auto& [d, p] : outcomes_) weights.push_back(p);
-      days = outcomes_[rng.discrete(weights)].first;
+    case Kind::kDiscrete:
+      days = outcome_days_[rng.discrete(outcome_weights_)];
       break;
-    }
   }
   return std::max<Tick>(1, static_cast<Tick>(std::llround(days)));
 }
@@ -63,7 +63,9 @@ double DwellTime::mean() const {
     case Kind::kNormal: return mean_days_;
     case Kind::kDiscrete: {
       double m = 0.0;
-      for (const auto& [days, prob] : outcomes_) m += days * prob;
+      for (std::size_t i = 0; i < outcome_days_.size(); ++i) {
+        m += outcome_days_[i] * outcome_weights_[i];
+      }
       return m;
     }
   }
@@ -85,8 +87,9 @@ Json DwellTime::to_json() const {
     case Kind::kDiscrete: {
       o["kind"] = "discrete";
       JsonArray arr;
-      for (const auto& [days, prob] : outcomes_) {
-        arr.push_back(Json(JsonArray{Json(days), Json(prob)}));
+      for (std::size_t i = 0; i < outcome_days_.size(); ++i) {
+        arr.push_back(
+            Json(JsonArray{Json(outcome_days_[i]), Json(outcome_weights_[i])}));
       }
       o["outcomes"] = Json(std::move(arr));
       break;
@@ -120,6 +123,7 @@ HealthStateId DiseaseModel::add_state(HealthState state) {
   }
   states_.push_back(std::move(state));
   progressions_.emplace_back();
+  progression_weights_.emplace_back();
   transmissions_by_from_.emplace_back();
   return static_cast<HealthStateId>(states_.size() - 1);
 }
@@ -134,7 +138,16 @@ HealthStateId DiseaseModel::state_id(const std::string& name) const {
 void DiseaseModel::add_progression(HealthStateId from, ProgressionEdge edge) {
   EPI_REQUIRE(from < states_.size(), "progression from unknown state");
   EPI_REQUIRE(edge.to < states_.size(), "progression to unknown state");
-  progressions_[from].push_back(std::move(edge));
+  std::vector<ProgressionEdge>& edges = progressions_[from];
+  edges.push_back(std::move(edge));
+  const std::size_t n = edges.size();
+  std::vector<double>& weights = progression_weights_[from];
+  weights.resize(n * kAgeGroupCount);
+  for (std::size_t g = 0; g < kAgeGroupCount; ++g) {
+    for (std::size_t i = 0; i < n; ++i) {
+      weights[g * n + i] = edges[i].probability[g];
+    }
+  }
 }
 
 const std::vector<ProgressionEdge>& DiseaseModel::progressions_from(
@@ -202,13 +215,10 @@ bool DiseaseModel::sample_progression(HealthStateId from, AgeGroup group,
   const auto& edges = progressions_from(from);
   if (edges.empty()) return false;
   const auto g = static_cast<std::size_t>(group);
-  std::vector<double> weights;
-  weights.reserve(edges.size());
+  const std::span<const double> weights(
+      progression_weights_[from].data() + g * edges.size(), edges.size());
   double total = 0.0;
-  for (const auto& edge : edges) {
-    weights.push_back(edge.probability[g]);
-    total += edge.probability[g];
-  }
+  for (const double w : weights) total += w;
   if (total <= 0.0) return false;  // terminal for this age group
   const std::size_t pick = rng.discrete(weights);
   *next = edges[pick].to;

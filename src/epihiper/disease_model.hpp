@@ -56,7 +56,10 @@ class DwellTime {
   double fixed_days_ = 1.0;
   double mean_days_ = 1.0;
   double stddev_days_ = 0.0;
-  std::vector<std::pair<double, double>> outcomes_;
+  // Discrete outcomes, split so sample() hands the weights to
+  // Rng::discrete as they are.
+  std::vector<double> outcome_days_;
+  std::vector<double> outcome_weights_;
 };
 
 /// One progression edge out of a state, age-stratified.
@@ -132,7 +135,7 @@ class DiseaseModel {
 
   /// Samples the progression out of `from` for `group`: picks an edge by
   /// probability and a dwell time. Returns false (and leaves outputs
-  /// untouched) for terminal states.
+  /// untouched) for terminal states. Allocates nothing.
   bool sample_progression(HealthStateId from, AgeGroup group, Rng& rng,
                           HealthStateId* next, Tick* dwell_ticks) const;
 
@@ -142,6 +145,10 @@ class DiseaseModel {
  private:
   std::vector<HealthState> states_;
   std::vector<std::vector<ProgressionEdge>> progressions_;
+  // Per state, the exit probabilities of its progressions_ as
+  // kAgeGroupCount rows, row g holding every edge's group-g probability in
+  // edge order: the weights sample_progression draws from.
+  std::vector<std::vector<double>> progression_weights_;
   std::vector<Transmission> transmissions_;
   std::vector<std::vector<Transmission>> transmissions_by_from_;
   double transmissibility_ = 1.0;

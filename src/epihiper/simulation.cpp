@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "epihiper/hit_order.hpp"
 #include "obs/metrics.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
@@ -19,11 +21,11 @@ constexpr std::uint64_t kPurposeCoin = 0x434f494eULL;          // "COIN"
 constexpr int kTagIsolation = 7;
 
 // kAdaptive density switch: broadcast when global_infectious * kAdaptiveDenom
-// >= network nodes (i.e. >= 2% of persons infectious). Above that density
-// the push frontier approaches every edge anyway and its enumerate+sort
-// overhead loses to the branch-light full rescan; below it the frontier
-// wins outright. The decision input is an allreduced count, so every rank
-// switches on the same tick.
+// >= network nodes (i.e. >= 2% of persons infectious). The 2% was tuned
+// when the frontier kernel still sorted its hits, where above it the push
+// frontier lost to the branch-light full rescan; the linear-time frontier
+// kernel kept the threshold unchanged. The decision input is an allreduced
+// count, so every rank switches on the same tick.
 constexpr std::int64_t kAdaptiveDenom = 50;
 
 /// Wire format of the owner-routed isolation requests.
@@ -81,6 +83,7 @@ Simulation::Simulation(const ContactNetwork& network,
   EPI_REQUIRE((comm_ == nullptr) == (partitioning == nullptr),
               "parallel runs need both a communicator and a partitioning");
 
+  EdgeIndex edge_count = network_.edge_count();
   if (comm_ != nullptr) {
     EPI_REQUIRE(partitioning->size() == static_cast<std::size_t>(comm_->size()),
                 "partition count must equal rank count");
@@ -90,13 +93,17 @@ Simulation::Simulation(const ContactNetwork& network,
     local_end_ = mine.node_end;
     partitioning_ = partitioning;
     edge_offset_ = mine.edge_begin;
-    edge_active_.assign(mine.edge_count(), 1);
+    edge_count = mine.edge_count();
   } else {
     local_begin_ = 0;
     local_end_ = network_.node_count();
     edge_offset_ = 0;
-    edge_active_.assign(network_.edge_count(), 1);
   }
+  // The frontier kernel packs a rank-local edge offset into 32 bits.
+  EPI_REQUIRE(edge_count <= std::numeric_limits<std::uint32_t>::max(),
+              "a rank's " << edge_count << " in-edges do not fit 32-bit "
+                          << "local edge offsets; partition over more ranks");
+  edge_active_.assign(edge_count, 1);
 
   const std::size_t local_count = local_end_ - local_begin_;
   nodes_.resize(local_count);
@@ -676,7 +683,6 @@ void Simulation::step_transmissions_broadcast() {
     const std::uint64_t degree = network_.in_end(p) - network_.in_begin(p);
     work += degree;
     output_.frontier_edges_per_tick.back() += degree;
-    candidate_edges_.clear();
     candidate_rho_.clear();
     candidate_slots_.clear();
     const std::size_t omega_row = node.health * state_count;
@@ -705,7 +711,6 @@ void Simulation::step_transmissions_broadcast() {
           duration_fraction * weight * sigma * slot_iota_[slot - 1] * omega;
       if (rho <= 0.0) continue;
       rate_sum += rho;
-      candidate_edges_.push_back(e);
       candidate_rho_.push_back(rho);
       candidate_slots_.push_back(slot - 1);
     }
@@ -818,44 +823,55 @@ void Simulation::step_transmissions_frontier() {
   if (tick_records_.empty()) return;
   build_record_soa(tick_records_);
 
-  // Push phase: enumerate this rank's in-edges sourced at any record
-  // holder. Out-edge buckets are ascending, so a binary search finds the
-  // first locally-owned edge and the walk stops at the partition boundary.
-  std::uint64_t work = 0;
-  frontier_hits_.clear();
+  // Push phase: this rank's in-edges sourced at any record holder. Out-edge
+  // buckets are ascending, so two binary searches bound each holder's run
+  // of locally owned edges.
   const EdgeIndex edge_end = edge_offset_ + edge_active_.size();
-  for (std::uint32_t slot = 0;
-       slot < static_cast<std::uint32_t>(slot_person_.size()); ++slot) {
+  const auto slot_count = static_cast<std::uint32_t>(slot_person_.size());
+  slot_out_edges_.resize(slot_count);
+  std::size_t hit_count = 0;
+  for (std::uint32_t slot = 0; slot < slot_count; ++slot) {
     const auto edges = network_.out_edges_of(slot_person_[slot]);
-    auto it = std::lower_bound(edges.begin(), edges.end(), edge_offset_);
-    for (; it != edges.end() && *it < edge_end; ++it) {
-      frontier_hits_.push_back(CandidateHit{*it, slot});
-    }
+    const auto first =
+        std::lower_bound(edges.begin(), edges.end(), edge_offset_);
+    const auto last = std::lower_bound(first, edges.end(), edge_end);
+    slot_out_edges_[slot] = std::span<const EdgeIndex>(first, last);
+    hit_count += static_cast<std::size_t>(last - first);
   }
-  work += frontier_hits_.size();
-  output_.frontier_edges_per_tick.back() += frontier_hits_.size();
+  output_.work_units += hit_count;
+  output_.frontier_edges_per_tick.back() += hit_count;
   if (metrics_ != nullptr) {
-    metrics_->add("epihiper.frontier_edges", frontier_hits_.size());
+    metrics_->add("epihiper.frontier_edges", hit_count);
   }
 
-  // Sorting by edge groups hits by target (the in-CSR keeps each person's
-  // edges contiguous, buckets in ascending person order), and inside each
-  // group restores the legacy kernel's ascending-EdgeIndex candidate
-  // order — the property that keeps every RNG draw byte-identical.
-  std::sort(frontier_hits_.begin(), frontier_hits_.end(),
-            [](const CandidateHit& x, const CandidateHit& y) {
-              return x.edge < y.edge;
-            });
+  // Edge order groups hits by target (the in-CSR keeps each person's edges
+  // contiguous, buckets in ascending person order), and inside each group
+  // restores the legacy kernel's ascending-EdgeIndex candidate order — the
+  // property that keeps every RNG draw byte-identical. A local edge appears
+  // in at most one hit, so that order is unique.
+  order_hits(
+      edge_active_.size(), hit_count,
+      [this, slot_count](const auto& emit) {
+        for (std::uint32_t slot = 0; slot < slot_count; ++slot) {
+          for (const EdgeIndex e : slot_out_edges_[slot]) {
+            emit(pack_hit(e - edge_offset_, slot));
+          }
+        }
+      },
+      hit_blocks_, hits_);
 
   const std::size_t state_count = model_.state_count();
   const bool weights_scaled = !edge_weight_scale_.empty();
   std::uint64_t groups = 0;
+  PersonId next_target = local_begin_;  // at or below every target ahead
   std::size_t i = 0;
-  while (i < frontier_hits_.size()) {
-    const PersonId p = network_.target_of(frontier_hits_[i].edge);
-    const EdgeIndex group_end = network_.in_end(p);
-    std::size_t j = i;
-    while (j < frontier_hits_.size() && frontier_hits_[j].edge < group_end) {
+  while (i < hits_.size()) {
+    const PersonId p =
+        network_.target_of(edge_offset_ + (hits_[i] >> 32), next_target);
+    next_target = p + 1;
+    const EdgeIndex group_end = network_.in_end(p) - edge_offset_;
+    std::size_t j = i + 1;
+    while (j < hits_.size() && (hits_[j] >> 32) < group_end) {
       ++j;
     }
     ++groups;
@@ -865,15 +881,14 @@ void Simulation::step_transmissions_frontier() {
       i = j;
       continue;
     }
-    candidate_edges_.clear();
     candidate_rho_.clear();
     candidate_slots_.clear();
     const std::size_t omega_row = node.health * state_count;
     const double sigma = state.susceptibility * node.susceptibility_scale;
     double rate_sum = 0.0;
     for (std::size_t k = i; k < j; ++k) {
-      const EdgeIndex e = frontier_hits_[k].edge;
-      const std::uint32_t slot = frontier_hits_[k].slot;
+      const EdgeIndex e = edge_offset_ + (hits_[k] >> 32);
+      const auto slot = static_cast<std::uint32_t>(hits_[k]);
       const double omega = transmission_omega_[omega_row + slot_state_[slot]];
       if (omega <= 0.0) continue;
       if (!edge_transmissible(e, p, slot_isolated_[slot] != 0,
@@ -893,18 +908,16 @@ void Simulation::step_transmissions_frontier() {
           duration_fraction * weight * sigma * slot_iota_[slot] * omega;
       if (rho <= 0.0) continue;
       rate_sum += rho;
-      candidate_edges_.push_back(e);
       candidate_rho_.push_back(rho);
       candidate_slots_.push_back(slot);
     }
     finish_candidate(p, rate_sum);
     i = j;
   }
-  work += groups;
   if (metrics_ != nullptr) {
     metrics_->add("epihiper.frontier_candidates", groups);
   }
-  output_.work_units += work;
+  output_.work_units += groups;
 }
 
 void Simulation::step_progressions() {

@@ -19,7 +19,11 @@
 // (became infectious / record changed / left infectious) to subscribing
 // ranks via alltoallv. Transmission compute is frontier-proportional: the
 // local infectious set is maintained incrementally and only susceptible
-// out-neighbors of currently-infectious sources are evaluated.
+// out-neighbors of currently-infectious sources are evaluated. Per tick the
+// frontier kernel costs O(hits + target groups x log gap): a counting
+// scatter puts the (edge, source) hits in edge order, and a galloping
+// forward search over the CSR offsets finds each group's target from the
+// previous one (DESIGN.md §9).
 //
 // On top of the ghost halo sits the *event-driven core* (ExaCorona
 // direction, DESIGN.md §14): within-host progressions are scheduled as
@@ -46,6 +50,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -372,11 +377,11 @@ class Simulation {
   void transition_person(PersonId p, HealthStateId new_state, PersonId cause);
   Rng person_rng(PersonId p) const;
   InfectiousInfo infectious_record(PersonId p) const;
-  /// Gillespie draw for one susceptible target after its candidate edges
-  /// (candidate_edges_/candidate_rho_/candidate_slots_, ascending
-  /// EdgeIndex) have been collected; shared verbatim by all kernels so
-  /// their RNG consumption is identical. Sources are read from the slot_*
-  /// SoA arrays (build_record_soa must cover the current records).
+  /// Gillespie draw for one susceptible target after its candidates
+  /// (candidate_rho_/candidate_slots_, in ascending EdgeIndex order) have
+  /// been collected; shared verbatim by all kernels so their RNG
+  /// consumption is identical. Sources are read from the slot_* SoA arrays
+  /// (build_record_soa must cover the current records).
   void finish_candidate(PersonId p, double rate_sum);
 
   const ContactNetwork& network_;
@@ -453,12 +458,12 @@ class Simulation {
   std::vector<InfectiousInfo> current_advert_;
   std::vector<std::vector<InfectiousInfo>> delta_outbox_;
   std::vector<PersonId> sorted_infectious_scratch_;
-  struct CandidateHit {
-    EdgeIndex edge;
-    std::uint32_t slot;  // index into tick_records_
-  };
-  std::vector<CandidateHit> frontier_hits_;
-  std::vector<EdgeIndex> candidate_edges_;
+  // Frontier kernel: each record slot's locally owned out-edges, then the
+  // tick's hits packed by pack_hit (hit_order.hpp) in edge order, and the
+  // block cursors order_hits scatters them with.
+  std::vector<std::span<const EdgeIndex>> slot_out_edges_;
+  std::vector<std::uint64_t> hits_;
+  std::vector<std::uint32_t> hit_blocks_;
   std::vector<double> candidate_rho_;
   std::vector<std::uint32_t> candidate_slots_;
 

@@ -75,10 +75,25 @@ EdgeIndex ContactNetwork::build_out_edges() {
   return edge_count();
 }
 
-PersonId ContactNetwork::target_of(EdgeIndex e) const {
+PersonId ContactNetwork::target_of(EdgeIndex e, PersonId first) const {
   EPI_REQUIRE(e < edge_count(), "edge index out of range");
-  // Binary search the CSR offsets for the bucket containing e.
-  const auto it = std::upper_bound(offsets_.begin(), offsets_.end(), e);
+  EPI_REQUIRE(first < node_count_ && offsets_[first] <= e,
+              "target search for edge " << e << " starts past it, at node "
+                                        << first);
+  // Gallop: double the stride until an offset passes e. Then the bucket
+  // holding e starts in [lo, hi), and offsets_[node_count_] = edge_count()
+  // bounds the last stride.
+  std::size_t lo = first;
+  std::size_t hi = lo + 1;
+  for (std::size_t stride = 1; hi < node_count_ && offsets_[hi] <= e;
+       hi = lo + stride) {
+    lo = hi;
+    stride *= 2;
+  }
+  hi = std::min<std::size_t>(hi, node_count_);
+  const auto it =
+      std::upper_bound(offsets_.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
+                       offsets_.begin() + static_cast<std::ptrdiff_t>(hi), e);
   return static_cast<PersonId>(it - offsets_.begin() - 1);
 }
 

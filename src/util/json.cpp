@@ -193,6 +193,7 @@ class JsonParser {
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open around pos_
 
   [[noreturn]] void fail(const std::string& message) {
     std::size_t line = 1, col = 1;
@@ -248,8 +249,17 @@ class JsonParser {
     skip_whitespace();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kJsonMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kJsonMaxDepth) +
+               " levels");
+        }
+        ++depth_;
+        Json nested = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);

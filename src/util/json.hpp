@@ -83,7 +83,13 @@ class Json {
   void dump_to(std::string& out, int indent, int depth) const;
 };
 
-/// Parses JSON text; throws ConfigError with position info on failure.
+/// Deepest array/object nesting parse_json accepts. The parser recurses
+/// once per level, so deeper input fails with ConfigError instead of
+/// exhausting the stack.
+inline constexpr int kJsonMaxDepth = 512;
+
+/// Parses JSON text; throws ConfigError with position info on failure,
+/// including nesting deeper than kJsonMaxDepth.
 Json parse_json(std::string_view text);
 
 /// Reads and parses a JSON file.

@@ -206,7 +206,7 @@ std::uint64_t Rng::binomial(std::uint64_t n, double p) {
   }
 }
 
-std::size_t Rng::discrete(const std::vector<double>& weights) {
+std::size_t Rng::discrete(std::span<const double> weights) {
   EPI_REQUIRE(!weights.empty(), "discrete distribution needs weights");
   double total = 0.0;
   for (double w : weights) {

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace epi {
@@ -102,7 +103,7 @@ class Rng {
 
   /// Samples an index from unnormalized non-negative weights.
   /// Requires at least one strictly positive weight.
-  std::size_t discrete(const std::vector<double>& weights);
+  std::size_t discrete(std::span<const double> weights);
 
   /// Fisher–Yates shuffle of [first, last).
   template <typename It>

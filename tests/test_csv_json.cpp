@@ -136,6 +136,50 @@ TEST(Json, UnterminatedThrows) {
   EXPECT_THROW(parse_json("\"abc"), ConfigError);
 }
 
+std::string nested_arrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(Json, NestingAtDepthLimitParses) {
+  const Json arrays = parse_json(nested_arrays(kJsonMaxDepth));
+  const Json* level = &arrays;
+  for (int depth = 1; depth < kJsonMaxDepth; ++depth) {
+    ASSERT_EQ(level->as_array().size(), 1u) << "depth " << depth;
+    level = &level->as_array()[0];
+  }
+  EXPECT_TRUE(level->as_array().empty());
+  // Objects and arrays count alike.
+  std::string mixed;
+  for (int depth = 0; depth < kJsonMaxDepth / 2; ++depth) mixed += "{\"a\": [";
+  mixed += "1";
+  for (int depth = 0; depth < kJsonMaxDepth / 2; ++depth) mixed += "]}";
+  EXPECT_NO_THROW(parse_json(mixed));
+}
+
+TEST(Json, NestingPastDepthLimitThrows) {
+  try {
+    parse_json(nested_arrays(kJsonMaxDepth + 1));
+    FAIL() << "nesting past the limit parsed";
+  } catch (const ConfigError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("line 1, column 513"), std::string::npos) << message;
+    EXPECT_NE(message.find("nesting deeper than 512 levels"), std::string::npos)
+        << message;
+  }
+  std::string objects;
+  for (int depth = 0; depth <= kJsonMaxDepth; ++depth) objects += "{\"a\": ";
+  objects += "1";
+  objects += std::string(static_cast<std::size_t>(kJsonMaxDepth) + 1, '}');
+  EXPECT_THROW(parse_json(objects), ConfigError);
+}
+
+TEST(Json, VeryDeepNestingThrowsInsteadOfCrashing) {
+  // Unbounded recursion overflowed the stack on input like this.
+  EXPECT_THROW(parse_json(std::string(2'000'000, '[')), ConfigError);
+  EXPECT_THROW(parse_json(nested_arrays(2'000'000)), ConfigError);
+}
+
 TEST(Json, TypeMismatchThrows) {
   const Json j = parse_json("42");
   EXPECT_THROW(j.as_string(), ConfigError);

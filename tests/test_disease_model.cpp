@@ -2,10 +2,61 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace epi {
 namespace {
+
+// The progression draw as it was made when every call built its weights
+// in a fresh std::vector; a dwell time's parameters are read back through
+// to_json().
+Tick vector_path_dwell(const DwellTime& dwell, Rng& rng) {
+  const Json j = dwell.to_json();
+  double days = 1.0;
+  switch (dwell.kind()) {
+    case DwellTime::Kind::kFixed: days = j.at("days").as_double(); break;
+    case DwellTime::Kind::kNormal:
+      days = rng.truncated_normal(j.at("mean").as_double(),
+                                  j.at("stddev").as_double(), 0.5, 60.0);
+      break;
+    case DwellTime::Kind::kDiscrete: {
+      std::vector<std::pair<double, double>> outcomes;
+      for (const Json& outcome : j.at("outcomes").as_array()) {
+        outcomes.emplace_back(outcome.as_array()[0].as_double(),
+                              outcome.as_array()[1].as_double());
+      }
+      std::vector<double> weights;
+      for (const auto& [d, p] : outcomes) weights.push_back(p);
+      days = outcomes[rng.discrete(weights)].first;
+      break;
+    }
+  }
+  return std::max<Tick>(1, static_cast<Tick>(std::llround(days)));
+}
+
+bool vector_path_progression(const DiseaseModel& model, HealthStateId from,
+                             AgeGroup group, Rng& rng, HealthStateId* next,
+                             Tick* dwell_ticks) {
+  const auto& edges = model.progressions_from(from);
+  if (edges.empty()) return false;
+  const auto g = static_cast<std::size_t>(group);
+  std::vector<double> weights;
+  double total = 0.0;
+  for (const auto& edge : edges) {
+    weights.push_back(edge.probability[g]);
+    total += edge.probability[g];
+  }
+  if (total <= 0.0) return false;
+  const std::size_t pick = rng.discrete(weights);
+  *next = edges[pick].to;
+  *dwell_ticks = vector_path_dwell(edges[pick].dwell[g], rng);
+  return true;
+}
 
 TEST(DwellTime, FixedSamplesConstant) {
   Rng rng(51);
@@ -223,6 +274,38 @@ TEST(CovidModel, ProgressionSamplingFollowsProbabilities) {
     if (next == presympt) ++to_presympt;
   }
   EXPECT_NEAR(static_cast<double>(to_presympt) / n, 0.65, 0.01);
+}
+
+TEST(CovidModel, ProgressionDrawsReplayTheVectorWeightPath) {
+  const DiseaseModel m = covid_model();
+  int sampled = 0;
+  int expected = 0;
+  for (HealthStateId s = 0; s < m.state_count(); ++s) {
+    if (!m.progressions_from(s).empty()) expected += 300 * kAgeGroupCount;
+    for (int g = 0; g < kAgeGroupCount; ++g) {
+      const auto group = static_cast<AgeGroup>(g);
+      for (std::uint64_t seed = 0; seed < 300; ++seed) {
+        Rng rng = Rng(seed).derive({s, static_cast<std::uint64_t>(g)});
+        Rng reference = rng;
+        HealthStateId next = kNoState, reference_next = kNoState;
+        Tick dwell = -1, reference_dwell = -1;
+        const bool moved = m.sample_progression(s, group, rng, &next, &dwell);
+        ASSERT_EQ(moved, vector_path_progression(m, s, group, reference,
+                                                 &reference_next,
+                                                 &reference_dwell))
+            << m.state(s).name << " group " << g << " seed " << seed;
+        EXPECT_EQ(next, reference_next);
+        EXPECT_EQ(dwell, reference_dwell);
+        // Both consumed the same number of draws.
+        EXPECT_EQ(rng.next(), reference.next());
+        sampled += moved ? 1 : 0;
+      }
+    }
+  }
+  // Every state with progressions drew in every age group: none of the
+  // model's exit probabilities sum to 0 for a group.
+  EXPECT_EQ(sampled, expected);
+  EXPECT_EQ(expected, 11 * 300 * kAgeGroupCount);
 }
 
 TEST(CovidModel, MeanIncubationAroundSixDays) {

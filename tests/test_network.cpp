@@ -155,12 +155,50 @@ TEST(ContactNetwork, CsrDegreesConsistent) {
 }
 
 TEST(ContactNetwork, TargetOfInvertsCsr) {
-  const ContactNetwork net = make_line_network(8);
-  for (PersonId v = 0; v < net.node_count(); ++v) {
-    for (EdgeIndex e = net.in_begin(v); e < net.in_end(v); ++e) {
-      EXPECT_EQ(net.target_of(e), v);
+  const ContactNetwork line = make_line_network(8);
+  for (PersonId v = 0; v < line.node_count(); ++v) {
+    for (EdgeIndex e = line.in_begin(v); e < line.in_end(v); ++e) {
+      EXPECT_EQ(line.target_of(e), v);
     }
   }
+
+  // The forward search from every start at or below the target, on a
+  // multigraph whose nodes are spread out so that runs of zero-degree
+  // nodes (one or four long) sit between the targets, not only at the
+  // end.
+  const auto [dense, half_edges] = random_multigraph(31);
+  const auto spread = [](PersonId u) { return 4 * u + u % 3; };
+  ContactNetworkBuilder builder(spread(dense.node_count()));
+  for (std::size_t i = 0; i < half_edges.size(); i += 2) {
+    const Contact& c = half_edges[i].contact;
+    builder.add_contact(spread(c.source), spread(half_edges[i].target),
+                        c.start_minute, c.duration_minutes,
+                        static_cast<ActivityType>(c.source_activity),
+                        static_cast<ActivityType>(c.target_activity), c.weight);
+  }
+  const ContactNetwork net = std::move(builder).finalize();
+  ASSERT_EQ(net.edge_count(), dense.edge_count());
+  std::uint64_t gaps = 0, checks = 0;
+  for (PersonId v = 0; v < net.node_count(); ++v) {
+    if (net.in_degree(v) == 0) {
+      gaps += v > 0 && v + 1 < net.node_count() && net.in_degree(v - 1) > 0;
+      continue;
+    }
+    for (EdgeIndex e = net.in_begin(v); e < net.in_end(v); ++e) {
+      ASSERT_EQ(net.target_of(e), v) << "edge " << e;
+      for (PersonId first = 0; first <= v; ++first) {
+        ++checks;
+        if (net.target_of(e, first) != v) {
+          ADD_FAILURE() << "edge " << e << " from node " << first << " found "
+                        << net.target_of(e, first) << ", not " << v;
+        }
+      }
+      EXPECT_THROW(net.target_of(e, v + 1), Error);
+    }
+  }
+  EXPECT_GT(gaps, 100u);
+  EXPECT_GT(checks, 1'000'000u);
+  EXPECT_THROW(net.target_of(net.edge_count(), 0), Error);
 }
 
 TEST(ContactNetwork, ContactMinutes) {

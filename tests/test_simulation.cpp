@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
 
+#include "epihiper/hit_order.hpp"
 #include "epihiper/parallel.hpp"
 #include "synthpop/generator.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace epi {
 namespace {
@@ -429,6 +434,176 @@ TEST_P(GhostEquivalence, MatchesSerialBroadcast) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, GhostEquivalence,
                          ::testing::Values(1, 2, 4, 8));
+
+// --- Frontier hit ordering ------------------------------------------------
+
+std::vector<std::uint64_t> ordered(std::uint64_t span,
+                                   const std::vector<std::uint64_t>& keys,
+                                   std::vector<std::uint32_t>& blocks,
+                                   std::vector<std::uint64_t>& hits) {
+  order_hits(
+      span, keys.size(),
+      [&keys](const auto& emit) {
+        for (const std::uint64_t key : keys) emit(key);
+      },
+      blocks, hits);
+  return hits;
+}
+
+TEST(HitOrder, MatchesStdSort) {
+  // One pair of buffers for every case, as the kernel reuses its own.
+  std::vector<std::uint32_t> blocks;
+  std::vector<std::uint64_t> hits;
+  Rng rng(2026);
+  for (const std::uint64_t span :
+       {std::uint64_t{1}, std::uint64_t{(1u << 11) - 1},
+        std::uint64_t{(1u << 11) + 1}, std::uint64_t{(1u << 22) + 1},
+        std::uint64_t{0xFFFFFFFFu}}) {
+    for (const std::size_t count : {0, 1, 17, 1000, 100000}) {
+      // Edges spread over the whole span, then every hit in the span's
+      // first count-th (one block), then every hit on the last edge.
+      const std::uint64_t narrow =
+          std::max<std::uint64_t>(1, span / std::max<std::size_t>(1, count));
+      for (const std::uint64_t width : {span, narrow, std::uint64_t{0}}) {
+        std::set<std::uint64_t> distinct;
+        while (distinct.size() < count) {
+          const std::uint64_t edge =
+              width == 0 ? span - 1 : rng.uniform_index(width);
+          distinct.insert(pack_hit(
+              edge, static_cast<std::uint32_t>(rng.uniform_index(1ull << 32))));
+        }
+        std::vector<std::uint64_t> keys(distinct.begin(), distinct.end());
+        rng.shuffle(keys.begin(), keys.end());
+        std::vector<std::uint64_t> expected = keys;
+        std::sort(expected.begin(), expected.end());
+        EXPECT_EQ(ordered(span, keys, blocks, hits), expected)
+            << "span " << span << ", " << count << " hits, width " << width;
+        if (count > 0) {
+          EXPECT_LE(blocks.size(), std::max<std::size_t>(1, count / 4));
+        }
+      }
+    }
+  }
+}
+
+// --- Large-frontier equivalence ---------------------------------------------
+
+// VA at 1/400 (21,339 persons): an uncontrolled epidemic puts thousands of
+// hits on a rank on most ticks, so the hit ordering runs over many blocks.
+const SyntheticRegion& frontier_region() {
+  static const SyntheticRegion region = [] {
+    SynthPopConfig config;
+    config.region = "VA";
+    config.scale = 1.0 / 400.0;
+    return generate_region(config);
+  }();
+  return region;
+}
+
+SimulationConfig frontier_config(ExchangeMode mode) {
+  SimulationConfig config;
+  config.num_ticks = 120;
+  config.seed = 42;
+  config.seeds = {SeedSpec{0, 5, 0}, SeedSpec{1, 5, 0}, SeedSpec{2, 5, 0}};
+  config.exchange = mode;
+  return config;
+}
+
+/// Transitions as a sorted set, final states and incidence; the parallel
+/// merge orders a tick's transitions by person, the serial log does not.
+std::string epidemic_digest(const SimOutput& out) {
+  std::vector<TransitionEvent> events = out.transitions;
+  std::sort(events.begin(), events.end(),
+            [](const TransitionEvent& a, const TransitionEvent& b) {
+              return std::tie(a.tick, a.person, a.exit_state, a.infector) <
+                     std::tie(b.tick, b.person, b.exit_state, b.infector);
+            });
+  std::string bytes;
+  for (const TransitionEvent& e : events) {
+    bytes.append(reinterpret_cast<const char*>(&e.tick), sizeof(e.tick));
+    bytes.append(reinterpret_cast<const char*>(&e.person), sizeof(e.person));
+    bytes.append(reinterpret_cast<const char*>(&e.exit_state),
+                 sizeof(e.exit_state));
+    bytes.append(reinterpret_cast<const char*>(&e.infector),
+                 sizeof(e.infector));
+  }
+  bytes.append(reinterpret_cast<const char*>(out.final_states.data()),
+               out.final_states.size() * sizeof(HealthStateId));
+  const auto& incidence = out.new_infections_per_tick;
+  bytes.append(reinterpret_cast<const char*>(incidence.data()),
+               incidence.size() * sizeof(std::uint64_t));
+  return to_hex(hash128(bytes));
+}
+
+/// The serial broadcast replicate: the rescan kernel never orders hits.
+const SimOutput& frontier_reference() {
+  static const SimOutput output =
+      run_simulation(frontier_region().network, frontier_region().population,
+                     covid_model(), frontier_config(ExchangeMode::kBroadcast));
+  return output;
+}
+
+TEST(ParallelFrontier, SerialKernelsMatchPinnedDigest) {
+  const SimOutput& reference = frontier_reference();
+  // Recorded with the kernel that sorted its hits with std::sort.
+  EXPECT_EQ(epidemic_digest(reference), "d118ead53f1ad544d866b774e978ffdd");
+  EXPECT_EQ(reference.total_infections, 14983u);
+  for (const ExchangeMode mode :
+       {ExchangeMode::kGhostDelta, ExchangeMode::kEvent}) {
+    const SimOutput out =
+        run_simulation(frontier_region().network, frontier_region().population,
+                       covid_model(), frontier_config(mode));
+    ASSERT_EQ(out.transitions.size(), reference.transitions.size());
+    for (std::size_t i = 0; i < out.transitions.size(); ++i) {
+      const TransitionEvent& a = out.transitions[i];
+      const TransitionEvent& b = reference.transitions[i];
+      ASSERT_EQ(std::tie(a.tick, a.person, a.exit_state, a.infector),
+                std::tie(b.tick, b.person, b.exit_state, b.infector))
+          << exchange_mode_name(mode) << " event " << i;
+    }
+    EXPECT_EQ(out.final_states, reference.final_states);
+    EXPECT_EQ(out.new_infections_per_tick, reference.new_infections_per_tick);
+    const auto busy = std::count_if(
+        out.frontier_edges_per_tick.begin(), out.frontier_edges_per_tick.end(),
+        [](std::uint64_t hits) { return hits >= 2000; });
+    EXPECT_GT(busy, 60) << exchange_mode_name(mode);
+  }
+}
+
+class ParallelFrontierRanks
+    : public ::testing::TestWithParam<std::tuple<int, ExchangeMode>> {};
+
+TEST_P(ParallelFrontierRanks, MatchesSerialBroadcast) {
+  const auto [ranks, mode] = GetParam();
+  const Partitioning parts = partition_network(
+      frontier_region().network, static_cast<std::size_t>(ranks));
+  const SimOutput out = run_simulation_parallel(
+      frontier_region().network, frontier_region().population, covid_model(),
+      frontier_config(mode), parts, ranks);
+  EXPECT_EQ(epidemic_digest(out), epidemic_digest(frontier_reference()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RanksAndModes, ParallelFrontierRanks,
+    ::testing::Combine(::testing::Values(2, 4, 8),
+                       ::testing::Values(ExchangeMode::kGhostDelta,
+                                         ExchangeMode::kEvent)));
+
+TEST(Simulation, RefusesRankEdgeRangeBeyond32Bits) {
+  // A forged one-part partitioning claiming 2^32 in-edges: the frontier
+  // kernel's packed hits cannot address them, so construction refuses.
+  const Partitioning forged({Partition{0, test_region().network.node_count(),
+                                       0, EdgeIndex{1} << 32}});
+  try {
+    run_simulation_parallel(test_region().network, test_region().population,
+                            covid_model(), base_config(5), forged, 1);
+    FAIL() << "a 2^32-edge rank was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("4294967296 in-edges"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(ParallelSim, CommunicationBytesReported) {
   const DiseaseModel model = covid_model();
