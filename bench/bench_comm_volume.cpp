@@ -1,21 +1,16 @@
-// Exchange-mode A/B/C/D on the same network and partitioning: legacy
-// broadcast allgatherv, ghost-delta halo exchange, the event-driven core
-// (ghost exchange + timed-event progressions + quiescence tick-skipping),
-// and the adaptive broadcast/ghost switch.
+// Communication volume of the transmission engine on an 8-rank DC run.
 //
-// The legacy transmission step allgatherv'd every rank's full infectious
-// set to every rank, every tick — O(global infectious x ranks) bytes on
-// the wire regardless of how many of those records a rank could ever use.
-// The ghost-delta protocol sends each rank only the *changes* to the
-// boundary records it subscribed to at construction; the event mode
-// additionally skips globally quiescent ticks outright (the seeds land at
-// tick 8, so the dormant prefix is provably skippable). This bench runs
-// all four kernels to the same epidemic and reports wall time, wire
-// bytes, events processed, and skipped ticks; it exits non-zero if any
-// mode's epidemic diverges from broadcast, if the ghost kernel fails to
-// move strictly fewer bytes than broadcast, or if the event mode is not
-// strictly faster per tick than both legacy modes (the CI perf-smoke
-// gates).
+// A broadcast exchange would allgatherv every rank's full infectious set
+// to every rank, every tick — O(global infectious x ranks) bytes on the
+// wire regardless of how many of those records a rank could ever use.
+// The engine does that only while at least 2% of persons are infectious
+// (the pull kernel); below it, the ghost-delta protocol sends each rank
+// only the *changes* to the boundary records it subscribed to at
+// construction (the push kernel), and globally quiescent ticks are skipped
+// outright (the seeds land at tick 8, so the dormant prefix is provably
+// skippable). This bench reports wire bytes, evaluated edges, the kernel
+// split, progressions and skipped ticks; it exits non-zero if the 8-rank
+// epidemic differs from the serial one or if no tick was skipped.
 
 #include <algorithm>
 #include <cstdio>
@@ -27,25 +22,6 @@
 #include "util/timer.hpp"
 
 namespace {
-
-struct KernelRun {
-  epi::SimOutput out;
-  double wall_seconds = 0.0;
-};
-
-KernelRun run_kernel(const epi::SyntheticRegion& region,
-                     const epi::DiseaseModel& model,
-                     epi::SimulationConfig config,
-                     const epi::Partitioning& parts, int ranks,
-                     epi::ExchangeMode mode) {
-  config.exchange = mode;
-  epi::Timer timer;
-  KernelRun result;
-  result.out = epi::run_simulation_parallel(region.network, region.population,
-                                            model, config, parts, ranks);
-  result.wall_seconds = timer.elapsed_seconds();
-  return result;
-}
 
 std::uint64_t peak(const std::vector<std::uint64_t>& series) {
   return series.empty() ? 0 : *std::max_element(series.begin(), series.end());
@@ -70,10 +46,9 @@ int main() {
   using namespace epi;
   using namespace epi::bench;
 
-  heading("Communication volume + exchange-mode matrix");
-  note("same network, partitioning, seeds, and RNG streams for all kernels;");
-  note("the epidemic outputs must be identical, only wire traffic, touched");
-  note("edges, and per-tick cost differ");
+  heading("Communication volume of the transmission engine");
+  note("8 ranks against the serial run: the epidemic outputs must be");
+  note("identical; wire traffic, touched edges and per-tick cost are measured");
 
   SynthPopConfig pop_config;
   pop_config.region = "DC";
@@ -87,9 +62,8 @@ int main() {
   SimulationConfig config;
   config.num_ticks = kTicks;
   config.seed = 11;
-  // Seeds land at tick 8: the dormant prefix gives the event mode a
-  // deterministic skip window, so "strictly faster per tick" is a property
-  // of the algorithm, not of scheduler noise.
+  // Seeds land at tick 8: the dormant prefix gives a deterministic skip
+  // window.
   config.seeds = {SeedSpec{0, 10, 8}};
 
   const Partitioning parts =
@@ -100,55 +74,31 @@ int main() {
              " contacts, " + fmt_int(kRanks) + " ranks, " + fmt_int(kTicks) +
              " ticks");
 
-  const ExchangeMode modes[] = {ExchangeMode::kBroadcast,
-                                ExchangeMode::kGhostDelta, ExchangeMode::kEvent,
-                                ExchangeMode::kAdaptive};
-  KernelRun runs[4];
-  for (int i = 0; i < 4; ++i) {
-    runs[i] = run_kernel(region, model, config, parts, kRanks, modes[i]);
-  }
-  const KernelRun& bcast = runs[0];
-  const KernelRun& ghost = runs[1];
-  const KernelRun& event = runs[2];
+  const SimOutput serial =
+      run_simulation(region.network, region.population, model, config);
+  Timer timer;
+  const SimOutput out = run_simulation_parallel(
+      region.network, region.population, model, config, parts, kRanks);
+  const double wall_seconds = timer.elapsed_seconds();
 
   bool ok = true;
-  for (int i = 1; i < 4; ++i) {
-    if (runs[i].out.final_states != bcast.out.final_states ||
-        runs[i].out.new_infections_per_tick !=
-            bcast.out.new_infections_per_tick ||
-        runs[i].out.total_infections != bcast.out.total_infections) {
-      note(std::string("FAIL: ") + exchange_mode_name(modes[i]) +
-           " disagrees with broadcast on the epidemic — the A/B is invalid");
-      ok = false;
-    }
+  if (out.final_states != serial.final_states ||
+      out.new_infections_per_tick != serial.new_infections_per_tick ||
+      out.total_infections != serial.total_infections) {
+    note("FAIL: the 8-rank epidemic differs from the serial one");
+    ok = false;
   }
 
-  row({"kernel", "comm MB", "s/tick", "wall s", "events", "skipped"}, 12);
-  for (int i = 0; i < 4; ++i) {
-    const SimOutput& out = runs[i].out;
-    row({exchange_mode_name(modes[i]),
-         fmt(static_cast<double>(out.communication_bytes) / 1e6, 3),
-         fmt(mean(out.seconds_per_tick), 4), fmt(runs[i].wall_seconds, 3),
-         fmt_int(out.events_fired), fmt_int(out.ticks_skipped)},
-        12);
-  }
-
-  const std::uint64_t bcast_bytes = bcast.out.communication_bytes;
-  const std::uint64_t ghost_bytes = ghost.out.communication_bytes;
-  note("edges evaluated (all ticks, all ranks): broadcast " +
-       fmt_int(sum_edges(bcast.out)) + ", ghost " +
-       fmt_int(sum_edges(ghost.out)) + ", event " +
-       fmt_int(sum_edges(event.out)));
-  if (ghost_bytes > 0) {
-    note("comm reduction: " +
-         fmt(static_cast<double>(bcast_bytes) /
-                 static_cast<double>(ghost_bytes),
-             2) +
-         "x fewer bytes than broadcast");
-  }
-  note("adaptive split: " + fmt_int(runs[3].out.broadcast_ticks) +
-       " broadcast ticks, " + fmt_int(runs[3].out.ghost_ticks) +
-       " ghost ticks");
+  row({"comm MB", "s/tick", "wall s", "events", "skipped", "pull", "push"},
+      10);
+  row({fmt(static_cast<double>(out.communication_bytes) / 1e6, 3),
+       fmt(mean(out.seconds_per_tick), 4), fmt(wall_seconds, 3),
+       fmt_int(out.events_fired), fmt_int(out.ticks_skipped),
+       fmt_int(out.broadcast_ticks), fmt_int(out.ghost_ticks)},
+      10);
+  note("edges evaluated (all ticks, all ranks): " + fmt_int(sum_edges(out)) +
+       "; ghost-delta payload " + fmt_int(out.ghost_exchange_bytes) +
+       " bytes");
 
   JsonReport report("comm_volume");
   report.metric("ranks", static_cast<std::uint64_t>(kRanks));
@@ -156,53 +106,26 @@ int main() {
   report.metric("persons",
                 static_cast<std::uint64_t>(region.population.person_count()));
   report.metric("contacts", region.network.contact_count());
-  report.metric("total_infections", ghost.out.total_infections);
-  for (int i = 0; i < 4; ++i) {
-    const std::string prefix = exchange_mode_name(modes[i]);
-    const SimOutput& out = runs[i].out;
-    report.metric(prefix + ".communication_bytes", out.communication_bytes);
-    report.metric(prefix + ".peak_memory_bytes",
-                  peak(out.memory_bytes_per_tick));
-    report.metric(prefix + ".seconds_per_tick_mean",
-                  mean(out.seconds_per_tick));
-    report.metric(prefix + ".edges_evaluated", sum_edges(out));
-    report.metric(prefix + ".events_scheduled", out.events_scheduled);
-    report.metric(prefix + ".events_fired", out.events_fired);
-    report.metric(prefix + ".ticks_skipped", out.ticks_skipped);
-    report.metric(prefix + ".ticks_executed", out.ticks_executed);
-  }
-  report.metric("ghost.ghost_exchange_bytes", ghost.out.ghost_exchange_bytes);
-  report.metric("adaptive.broadcast_ticks", runs[3].out.broadcast_ticks);
-  report.metric("adaptive.ghost_ticks", runs[3].out.ghost_ticks);
+  report.metric("total_infections", out.total_infections);
+  report.metric("communication_bytes", out.communication_bytes);
+  report.metric("ghost_exchange_bytes", out.ghost_exchange_bytes);
+  report.metric("peak_memory_bytes", peak(out.memory_bytes_per_tick));
+  report.metric("seconds_per_tick_mean", mean(out.seconds_per_tick));
+  report.metric("edges_evaluated", sum_edges(out));
+  report.metric("events_scheduled", out.events_scheduled);
+  report.metric("events_fired", out.events_fired);
+  report.metric("ticks_skipped", out.ticks_skipped);
+  report.metric("ticks_executed", out.ticks_executed);
+  report.metric("broadcast_ticks", out.broadcast_ticks);
+  report.metric("ghost_ticks", out.ghost_ticks);
   report.metric("outputs_identical", ok ? std::uint64_t{1} : std::uint64_t{0});
   report.write();
 
-  // Perf-smoke gates. First, the halo exchange's whole point: strictly
-  // less wire traffic than the broadcast baseline measured in this run.
-  if (ghost_bytes >= bcast_bytes) {
-    note("FAIL: ghost kernel moved " + fmt_int(ghost_bytes) +
-         " bytes, baseline " + fmt_int(bcast_bytes));
+  if (out.ticks_skipped == 0) {
+    note("FAIL: no tick skipped despite the dormant seed prefix");
     ok = false;
   } else {
-    note("PASS: ghost bytes strictly below broadcast baseline");
-  }
-  // Second, the event-driven core's whole point: strictly cheaper ticks
-  // than both legacy modes (skipped ticks cost zero and executed ticks do
-  // no per-person rescans).
-  const double event_spt = mean(event.out.seconds_per_tick);
-  const double bcast_spt = mean(bcast.out.seconds_per_tick);
-  const double ghost_spt = mean(ghost.out.seconds_per_tick);
-  if (event_spt >= bcast_spt || event_spt >= ghost_spt) {
-    note("FAIL: event mode s/tick " + fmt(event_spt, 5) +
-         " not strictly below broadcast " + fmt(bcast_spt, 5) + " and ghost " +
-         fmt(ghost_spt, 5));
-    ok = false;
-  } else {
-    note("PASS: event mode s/tick strictly below both legacy modes");
-  }
-  if (event.out.ticks_skipped == 0) {
-    note("FAIL: event mode skipped no ticks despite the dormant seed prefix");
-    ok = false;
+    note("PASS: 8-rank output equals serial, dormant ticks skipped");
   }
   return ok ? 0 : 1;
 }

@@ -3,11 +3,13 @@
 // eventual slowdown) from communication costs, the knee depending on
 // problem size.
 //
-// This machine exposes a single core, so wall-clock speedup cannot
-// materialize here; instead the bench runs the REAL partitioned engine at
-// each rank count and reports the dedicated-core time model:
+// Measured strong scaling lives in perfbench, which times real 1- and
+// 4-rank replicates on the host's 4 cores (`scaling_eff_4r`). Past 4
+// ranks this bench extrapolates: it runs the REAL partitioned engine at
+// each rank count and reports the dedicated-core time model
 //     T(p) = max_rank(work) / throughput + comm_bytes(p) * wire_cost
-// where work is the engine's instrumented per-rank operation count,
+// where work is the engine's instrumented per-rank operation count (edge
+// evaluations, pull-tick rescans and per-person progression scans),
 // throughput is measured from the serial run, and the wire cost is an
 // Omnipath-class constant. Communication volume is the engine's actual
 // mpilite traffic, not an estimate.
@@ -28,7 +30,8 @@ int main() {
 
   heading("Fig 7 (middle) — strong scaling of EpiHiper");
   note("modeled dedicated-core time: max-rank work / throughput + comm cost");
-  note("(single-core host; work and comm volumes are measured, see header)");
+  note("(an extrapolation past the host's 4 cores; work and comm volumes are");
+  note("measured, and perfbench measures real 4-rank scaling, see header)");
 
   const DiseaseModel model = covid_model();
   // Three medium-to-large networks, as in the paper's three curves.

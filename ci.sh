@@ -8,11 +8,10 @@
 #                      # + perfbench smoke test
 #   ./ci.sh proc       # shared-memory backend pass (EPI_MPILITE_BACKEND=shm,
 #                      # ranks as forked processes): mpilite + event-core +
-#                      # parallel-equivalence suites (all four exchange
-#                      # modes at 1/2/4/8 ranks vs the serial oracle), the
-#                      # CommChecker re-run, the comm-volume bench, and a
-#                      # deterministic nightly byte-diffed thread vs shm
-#                      # per exchange mode
+#                      # parallel-equivalence suites (1/2/4/8 ranks vs the
+#                      # pinned serial oracle), the CommChecker re-run, the
+#                      # comm-volume bench, and a deterministic nightly
+#                      # byte-diffed thread vs shm
 #   ./ci.sh service    # scenario-service replay determinism: the canned
 #                      # request log twice, and EPI_JOBS=1 vs 4, with
 #                      # byte-diffs of responses + report; throughput gate
@@ -58,7 +57,7 @@ run_plain() {
   # unmatched to prove flow export emits no dangling edges, which the
   # checker rightly flags as a message leak.
   EPI_MPILITE_CHECK=1 ctest --test-dir build --output-on-failure -j "$JOBS" \
-    -R 'Mpilite|Parallel' -E 'InvalidRankOrTag|UnreceivedMessages'
+    -R 'Mpilite|Parallel|Ghost' -E 'InvalidRankOrTag|UnreceivedMessages'
 
   echo "== trace pass (EPI_TRACE) =="
   # Run the nightly example twice with tracing on and deterministic
@@ -76,34 +75,15 @@ run_plain() {
   cmp build/trace-ci/metrics.json build/trace-ci-2/metrics.json
   echo "trace pass OK (valid + byte-identical across runs)"
 
-  echo "== perf smoke (exchange-mode matrix) =="
-  # A/B/C/D the four exchange modes in the same run; the bench exits
-  # non-zero if the ghost kernel does not move strictly fewer bytes than
-  # broadcast, if the event-driven core is not strictly faster per tick
-  # than BOTH legacy modes (the ROADMAP hard gate), or if any mode's
-  # epidemic output diverges. The fig7 sweep applies the same event-faster
-  # gate across its size ladder. JSON reports land in build/ for
-  # regression diffs.
+  echo "== perf smoke (comm volume, fig7 sweep) =="
+  # bench_comm_volume exits non-zero if its 8-rank epidemic differs from
+  # the serial one or if it skips no tick of its dormant seed prefix. JSON
+  # reports land in build/ for regression diffs.
   rm -rf build/perf-smoke && mkdir -p build/perf-smoke
   EPI_BENCH_JSON=build/perf-smoke ./build/bench/bench_comm_volume
   EPI_BENCH_JSON=build/perf-smoke \
     ./build/bench/bench_fig7_runtime --benchmark_filter=none >/dev/null
   echo "perf smoke OK (see build/perf-smoke/BENCH_*.json)"
-
-  echo "== exchange-mode byte-diff (EPI_EXCHANGE on the nightly) =="
-  # The determinism contract end to end: the deterministic nightly must
-  # produce byte-identical reports under every exchange mode — the env
-  # override is the only thing that changes between runs.
-  for mode in broadcast ghost event adaptive; do
-    EPI_EXCHANGE="$mode" EPI_DETERMINISTIC_TIMING=1 \
-      ./build/examples/nightly_national_run economic \
-      > "build/perf-smoke/nightly-$mode.txt"
-  done
-  for mode in ghost event adaptive; do
-    cmp "build/perf-smoke/nightly-broadcast.txt" \
-      "build/perf-smoke/nightly-$mode.txt"
-  done
-  echo "exchange-mode byte-diff OK (broadcast == ghost == event == adaptive)"
 
   echo "== benchmark smoke (perfbench) =="
   # Every benchmark workload at toy scale, traced and untraced, with its
@@ -137,16 +117,15 @@ run_proc() {
 
   # The mpilite, event-core, and parallel-equivalence suites with every
   # rank above 0 a forked process over the shared-memory segment. The
-  # equivalence suites compare each exchange mode's parallel output
-  # byte-for-byte against the backend-independent serial oracle at
-  # 1/2/4/8 ranks, so a pass here IS the thread-vs-shm identity for all
-  # four EPI_EXCHANGE modes.
+  # equivalence suites compare the parallel output byte-for-byte against
+  # the pinned, backend-independent serial oracle at 1/2/4/8 ranks, so a
+  # pass here IS the thread-vs-shm identity of the engine.
   #
   # No EPI_JOBS farm runs here: the shm launcher forks, and forking a
   # process that holds live farm worker threads is undefined enough to be
   # banned outright (DESIGN.md §15).
   EPI_MPILITE_BACKEND=shm ctest --test-dir build --output-on-failure -j "$JOBS" \
-    -R 'Mpilite|EventCore|Parallel|Ghost|ExchangeMode'
+    -R 'Mpilite|EventCore|Parallel|Ghost'
 
   echo "== CommChecker pass under forked ranks =="
   # Same exclusions as the plain lane's checker pass (deliberate misuse
@@ -154,31 +133,25 @@ run_proc() {
   # state from the segment's checker slots.
   EPI_MPILITE_BACKEND=shm EPI_MPILITE_CHECK=1 \
     ctest --test-dir build --output-on-failure -j "$JOBS" \
-    -R 'Mpilite|Parallel' -E 'InvalidRankOrTag|UnreceivedMessages'
+    -R 'Mpilite|Parallel|Ghost' -E 'InvalidRankOrTag|UnreceivedMessages'
 
-  echo "== exchange-mode kernels under forked ranks =="
-  # bench_comm_volume A/B/C/Ds the exchange modes over
-  # run_simulation_parallel and exits nonzero if any mode's epidemic
-  # output diverges — here with ranks as forked processes.
+  echo "== comm-volume bench under forked ranks =="
+  # bench_comm_volume exits nonzero if its 8-rank epidemic differs from
+  # the serial one — here with ranks as forked processes.
   rm -rf build/proc-ci && mkdir -p build/proc-ci/bench
   EPI_BENCH_JSON=build/proc-ci/bench EPI_MPILITE_BACKEND=shm \
     ./build/bench/bench_comm_volume
 
   echo "== deterministic nightly byte-diff (thread vs shm) =="
-  # The nightly under both backends, per exchange mode: the reports must
-  # be byte-identical — the backend env var may never perturb workflow
-  # output.
-  for mode in broadcast ghost event adaptive; do
-    for backend in thread shm; do
-      EPI_EXCHANGE="$mode" EPI_MPILITE_BACKEND="$backend" \
-        EPI_DETERMINISTIC_TIMING=1 \
-        ./build/examples/nightly_national_run economic \
-        > "build/proc-ci/nightly-$mode-$backend.txt"
-    done
-    cmp "build/proc-ci/nightly-$mode-thread.txt" \
-      "build/proc-ci/nightly-$mode-shm.txt"
+  # The nightly under both backends: the reports must be byte-identical —
+  # the backend env var may never perturb workflow output.
+  for backend in thread shm; do
+    EPI_MPILITE_BACKEND="$backend" EPI_DETERMINISTIC_TIMING=1 \
+      ./build/examples/nightly_national_run economic \
+      > "build/proc-ci/nightly-$backend.txt"
   done
-  echo "nightly byte-diff OK (thread == shm for all four exchange modes)"
+  cmp build/proc-ci/nightly-thread.txt build/proc-ci/nightly-shm.txt
+  echo "nightly byte-diff OK (thread == shm)"
 
   # A traced shm run must still emit a valid trace/metrics pair.
   EPI_TRACE=build/proc-ci/trace-shm EPI_MPILITE_BACKEND=shm \
@@ -250,7 +223,7 @@ run_obs() {
   mkdir -p build/obs-ci/bench
   EPI_BENCH_JSON=build/obs-ci/bench ./build/bench/bench_fig9_utilization >/dev/null
   EPI_BENCH_JSON=build/obs-ci/bench ./build/bench/bench_table1_workflows >/dev/null
-  # The exchange-mode benches contribute their deterministic count metrics
+  # The engine benches contribute their deterministic count metrics
   # (edges, events, skipped ticks, wire bytes); their timing metrics are
   # reported in the JSON but deliberately absent from the baselines.
   EPI_BENCH_JSON=build/obs-ci/bench ./build/bench/bench_comm_volume >/dev/null

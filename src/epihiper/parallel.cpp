@@ -212,8 +212,9 @@ SimOutput run_simulation_parallel(const ContactNetwork& network,
     merged.work_units += out.work_units;
     merged.max_rank_work_units =
         std::max(merged.max_rank_work_units, out.work_units);
-    // Event accounting sums across ranks; tick counters are identical on
-    // every rank (skip decisions are min-allreduced), so max == any rank.
+    // Progression accounting sums across ranks; tick counters are
+    // identical on every rank (skip and kernel decisions are collective),
+    // so max == any rank.
     merged.events_scheduled += out.events_scheduled;
     merged.events_fired += out.events_fired;
     merged.events_stale += out.events_stale;
@@ -224,11 +225,15 @@ SimOutput run_simulation_parallel(const ContactNetwork& network,
         std::max(merged.broadcast_ticks, out.broadcast_ticks);
     merged.ghost_ticks = std::max(merged.ghost_ticks, out.ghost_ticks);
   }
-  std::sort(merged.transitions.begin(), merged.transitions.end(),
-            [](const TransitionEvent& a, const TransitionEvent& b) {
-              return a.tick < b.tick ||
-                     (a.tick == b.tick && a.person < b.person);
-            });
+  // (tick, person) is not unique: a person seeded or infected in a tick
+  // can be moved on by an intervention in the same tick. Each rank logs in
+  // processing order and owns its persons outright, so a stable sort
+  // keeps each person's same-tick transitions in the serial order.
+  std::stable_sort(merged.transitions.begin(), merged.transitions.end(),
+                   [](const TransitionEvent& a, const TransitionEvent& b) {
+                     return a.tick < b.tick ||
+                            (a.tick == b.tick && a.person < b.person);
+                   });
   return merged;
 }
 

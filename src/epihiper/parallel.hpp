@@ -28,9 +28,10 @@ SimOutput run_simulation(const ContactNetwork& network,
 
 /// Runs one replicate on `num_ranks` mpilite ranks over `partitioning`
 /// (must have exactly num_ranks parts) and merges outputs: transitions
-/// sorted by (tick, person), per-tick infection counts summed, per-tick
-/// memory summed across ranks, per-tick seconds = max across ranks (the
-/// critical path), final states concatenated in person order.
+/// stably sorted by (tick, person), so each person's same-tick
+/// transitions keep their serial order; per-tick infection counts summed,
+/// per-tick memory summed across ranks, per-tick seconds = max across
+/// ranks (the critical path), final states concatenated in person order.
 SimOutput run_simulation_parallel(const ContactNetwork& network,
                                   const Population& population,
                                   const DiseaseModel& model,

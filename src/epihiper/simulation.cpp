@@ -6,7 +6,6 @@
 
 #include "epihiper/hit_order.hpp"
 #include "obs/metrics.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -20,13 +19,17 @@ constexpr std::uint64_t kPurposeSeed = 0x53454544ULL;          // "SEED"
 constexpr std::uint64_t kPurposeCoin = 0x434f494eULL;          // "COIN"
 constexpr int kTagIsolation = 7;
 
-// kAdaptive density switch: broadcast when global_infectious * kAdaptiveDenom
-// >= network nodes (i.e. >= 2% of persons infectious). The 2% was tuned
-// when the frontier kernel still sorted its hits, where above it the push
-// frontier lost to the branch-light full rescan; the linear-time frontier
-// kernel kept the threshold unchanged. The decision input is an allreduced
-// count, so every rank switches on the same tick.
-constexpr std::int64_t kAdaptiveDenom = 50;
+// Kernel switch: pull when global_infectious * kPullDenom >= network nodes
+// (i.e. >= 2% of persons infectious), else push. The 2% was tuned when the
+// push kernel still sorted its hits. Re-measured with the linear-time push
+// kernel (4-core host, medians of 5), the switch ran the dense VA 1/40
+// `epidemic` replicate in 0.19 s on 4 thread ranks against 0.26 s for push
+// alone, and in 0.61 s serially against 0.82 s: late in an epidemic,
+// pulling from the few remaining susceptibles touches fewer edges than
+// pushing from every infectious source. The threshold stays.
+constexpr std::int64_t kPullDenom = 50;
+
+constexpr Tick kNever = std::numeric_limits<Tick>::max();
 
 /// Wire format of the owner-routed isolation requests.
 struct IsolationRequest {
@@ -35,33 +38,6 @@ struct IsolationRequest {
 };
 static_assert(std::is_trivially_copyable_v<IsolationRequest>);
 }  // namespace
-
-const char* exchange_mode_name(ExchangeMode mode) {
-  switch (mode) {
-    case ExchangeMode::kGhostDelta: return "ghost";
-    case ExchangeMode::kBroadcast: return "broadcast";
-    case ExchangeMode::kEvent: return "event";
-    case ExchangeMode::kAdaptive: return "adaptive";
-  }
-  return "unknown";
-}
-
-ExchangeMode parse_exchange_mode(std::string_view name) {
-  if (name == "ghost") return ExchangeMode::kGhostDelta;
-  if (name == "broadcast") return ExchangeMode::kBroadcast;
-  if (name == "event") return ExchangeMode::kEvent;
-  if (name == "adaptive") return ExchangeMode::kAdaptive;
-  EPI_REQUIRE(false, "unknown exchange mode '"
-                         << name
-                         << "' (expected broadcast|ghost|event|adaptive)");
-  return ExchangeMode::kGhostDelta;  // unreachable
-}
-
-ExchangeMode default_exchange_mode() {
-  const char* value = env_raw("EPI_EXCHANGE");
-  if (value == nullptr || value[0] == '\0') return ExchangeMode::kGhostDelta;
-  return parse_exchange_mode(value);
-}
 
 Tick Intervention::quiescent_until(const Simulation& sim) const {
   return sim.tick() + 1;  // conservative: may act every tick
@@ -99,7 +75,7 @@ Simulation::Simulation(const ContactNetwork& network,
     local_end_ = network_.node_count();
     edge_offset_ = 0;
   }
-  // The frontier kernel packs a rank-local edge offset into 32 bits.
+  // The push kernel packs a rank-local edge offset into 32 bits.
   EPI_REQUIRE(edge_count <= std::numeric_limits<std::uint32_t>::max(),
               "a rank's " << edge_count << " in-edges do not fit 32-bit "
                           << "local edge offsets; partition over more ranks");
@@ -127,16 +103,12 @@ Simulation::Simulation(const ContactNetwork& network,
     }
   }
 
-  event_driven_ = config_.exchange == ExchangeMode::kEvent ||
-                  config_.exchange == ExchangeMode::kAdaptive;
-  if (config_.exchange == ExchangeMode::kBroadcast) {
-    // The legacy kernel's person-indexed lookup spans the whole network —
-    // the O(network nodes)-per-rank cost the ghost halo replaces. Under
-    // kAdaptive it is allocated lazily on the first broadcast tick.
-    infectious_lookup_.assign(network_.node_count(), 0);
-  } else if (comm_ != nullptr) {
-    build_ghost_plan(*partitioning);
+  // Before the first end-of-tick gather, the global count follows from
+  // the initial state alone.
+  if (model_.state(model_.initial_state()).infectious()) {
+    infectious_total_ = static_cast<std::int64_t>(network_.node_count());
   }
+  if (comm_ != nullptr) build_ghost_plan(*partitioning);
 
   // Pending-seed schedule for the quiescence scan: ascending unique ticks.
   for (const SeedSpec& spec : config_.seeds) {
@@ -397,8 +369,8 @@ std::uint64_t Simulation::memory_footprint_bytes() const {
   bytes += edge_weight_scale_.capacity() * sizeof(float);
   bytes += isolated_until_.capacity() * sizeof(Tick);
   bytes += stay_home_.capacity();
-  // Broadcast mode: the O(network nodes) lookup plus the full gathered
-  // infectious set. Ghost mode: halo-sized structures only.
+  // Pull kernel (once it has run): the O(network nodes) lookup plus the
+  // full gathered infectious set. Push kernel: halo-sized structures only.
   bytes += infectious_lookup_.capacity() * sizeof(std::uint32_t);
   bytes += global_infectious_.capacity() * sizeof(InfectiousInfo);
   bytes += local_infectious_.capacity() * sizeof(PersonId);
@@ -410,9 +382,7 @@ std::uint64_t Simulation::memory_footprint_bytes() const {
   bytes += subscriber_offsets_.capacity() * sizeof(std::uint64_t);
   bytes += subscriber_ranks_.capacity() * sizeof(std::int32_t);
   bytes += advertised_.capacity() * sizeof(InfectiousInfo);
-  // Event-driven core: the timed-event heap plus the per-tick SoA record
-  // slots of the transmission kernels.
-  bytes += event_queue_.memory_bytes();
+  // The per-tick SoA record slots of the transmission kernels.
   bytes += slot_person_.capacity() * sizeof(PersonId);
   bytes += slot_iota_.capacity() * sizeof(double);
   bytes += slot_state_.capacity() * sizeof(HealthStateId);
@@ -435,7 +405,10 @@ void Simulation::transition_person(PersonId p, HealthStateId new_state,
   --local_state_counts_[old_state];
   ++local_state_counts_[new_state];
   node.health = new_state;
-  node.next_transition_tick = -1;
+  // A progression still pending is superseded (the scan clears the one it
+  // fires before calling here).
+  if (node.next_transition_tick != kNever) ++output_.events_stale;
+  node.next_transition_tick = kNever;
   node.next_state = kNoState;
   entered_by_state_[new_state].push_back(p);
   // Keep the infectious set incremental: O(1) membership updates here
@@ -472,15 +445,7 @@ void Simulation::transition_person(PersonId p, HealthStateId new_state,
                                 &next, &dwell)) {
     node.next_transition_tick = tick_ + dwell;
     node.next_state = next;
-    // Event-driven core: the progression becomes a timed event. A
-    // superseded earlier event for p (this transition pre-empted it) stays
-    // queued and is shed lazily when popped (next_transition_tick no
-    // longer matches).
-    if (event_driven_) {
-      event_queue_.schedule(node.next_transition_tick,
-                            EventKind::kProgression, p);
-      ++output_.events_scheduled;
-    }
+    ++output_.events_scheduled;
   }
 }
 
@@ -548,8 +513,8 @@ void Simulation::exchange_remote_isolation_requests() {
 }
 
 void Simulation::step_transmissions() {
-  // Snapshot the local infectious records in ascending person order (the
-  // order the legacy full scan produced them in), shared by all kernels.
+  // Snapshot the local infectious records in ascending person order, the
+  // order both kernels' record slots follow.
   sorted_infectious_scratch_.assign(local_infectious_.begin(),
                                     local_infectious_.end());
   std::sort(sorted_infectious_scratch_.begin(),
@@ -558,52 +523,21 @@ void Simulation::step_transmissions() {
   for (const PersonId p : sorted_infectious_scratch_) {
     tick_records_.push_back(infectious_record(p));
   }
-  switch (config_.exchange) {
-    case ExchangeMode::kBroadcast:
-      step_transmissions_broadcast();
-      break;
-    case ExchangeMode::kGhostDelta:
-    case ExchangeMode::kEvent:
-      step_transmissions_frontier();
-      break;
-    case ExchangeMode::kAdaptive:
-      step_transmissions_adaptive();
-      break;
-  }
-}
-
-void Simulation::step_transmissions_adaptive() {
-  // Deterministic density switch: identical on every rank because the
-  // input is an allreduced global count, never rank-local state.
-  std::int64_t global_infectious =
-      static_cast<std::int64_t>(local_infectious_.size());
-  if (comm_ != nullptr) {
-    global_infectious =
-        comm_->allreduce(global_infectious, mpilite::ReduceOp::kSum);
-  }
-  const bool use_broadcast =
-      global_infectious * kAdaptiveDenom >=
-      static_cast<std::int64_t>(network_.node_count());
-  if (metrics_ != nullptr) {
-    metrics_->add(use_broadcast ? "epihiper.adaptive_broadcast_ticks"
-                                : "epihiper.adaptive_ghost_ticks");
-  }
-  if (use_broadcast) {
+  const bool pull = infectious_total_ * kPullDenom >=
+                    static_cast<std::int64_t>(network_.node_count());
+  if (pull) {
     ++output_.broadcast_ticks;
-    if (infectious_lookup_.empty()) {
-      infectious_lookup_.assign(network_.node_count(), 0);
-    }
     // No deltas flow this tick, so whatever subscribers last saw is stale
-    // from here on; the next ghost tick must resync from scratch.
+    // from here on; the next push tick must resend the whole halo.
     ghost_halo_synced_ = false;
-    step_transmissions_broadcast();
+    step_transmissions_pull();
   } else {
     ++output_.ghost_ticks;
     if (!ghost_halo_synced_) {
       reset_ghost_halo();
       ghost_halo_synced_ = true;
     }
-    step_transmissions_frontier();
+    step_transmissions_push();
   }
 }
 
@@ -654,9 +588,12 @@ void Simulation::finish_candidate(PersonId p, double rate_sum) {
   transition_person(p, to, slot_person_[slot]);
 }
 
-void Simulation::step_transmissions_broadcast() {
-  // Legacy kernel: every rank receives every rank's infectious records and
-  // rescans all of its persons and in-edges.
+void Simulation::step_transmissions_pull() {
+  // Every rank receives every rank's infectious records and rescans all of
+  // its susceptible persons' in-edges.
+  if (infectious_lookup_.empty()) {
+    infectious_lookup_.assign(network_.node_count(), 0);
+  }
   for (const InfectiousInfo& info : global_infectious_) {
     infectious_lookup_[info.person] = 0;
   }
@@ -813,7 +750,7 @@ void Simulation::exchange_ghost_deltas() {
   }
 }
 
-void Simulation::step_transmissions_frontier() {
+void Simulation::step_transmissions_push() {
   if (comm_ != nullptr) {
     exchange_ghost_deltas();
     for (const std::uint32_t gi : ghost_active_) {
@@ -846,7 +783,7 @@ void Simulation::step_transmissions_frontier() {
 
   // Edge order groups hits by target (the in-CSR keeps each person's edges
   // contiguous, buckets in ascending person order), and inside each group
-  // restores the legacy kernel's ascending-EdgeIndex candidate order — the
+  // restores the pull kernel's ascending-EdgeIndex candidate order — the
   // property that keeps every RNG draw byte-identical. A local edge appears
   // in at most one hit, so that order is unique.
   order_hits(
@@ -895,7 +832,7 @@ void Simulation::step_transmissions_frontier() {
                               slot_stay_home_[slot] != 0)) {
         continue;
       }
-      // Eq (1), identical arithmetic and filter order to the broadcast
+      // Eq (1), identical arithmetic and filter order to the pull
       // kernel (same rho values in the same candidate positions); the
       // source fields come from the dense SoA arrays and sigma is hoisted
       // per target, neither of which perturbs a single double bit.
@@ -921,44 +858,15 @@ void Simulation::step_transmissions_frontier() {
 }
 
 void Simulation::step_progressions() {
-  if (event_driven_) {
-    step_progressions_events();
-    return;
-  }
-  // Legacy tick-driven form: O(local persons) every tick, the cost the
-  // event queue eliminates.
   output_.work_units += local_end_ - local_begin_;
   for (PersonId p = local_begin_; p < local_end_; ++p) {
     NodeState& node = nodes_[p - local_begin_];
-    if (node.next_transition_tick == tick_ && node.next_state != kNoState) {
+    if (node.next_transition_tick == tick_) {
+      node.next_transition_tick = kNever;  // fired, not superseded
+      ++output_.events_fired;
       transition_person(p, node.next_state, kNoPerson);
     }
   }
-}
-
-void Simulation::step_progressions_events() {
-  // Pop everything due this tick in (tick, kind, person) order — ascending
-  // person, exactly the order the legacy scan fired in. An event fires only
-  // if it still matches the person's live schedule; anything superseded by
-  // an intervening transition is stale and shed here. Events fired now
-  // schedule strictly-future events (dwell >= 1), so this loop terminates.
-  std::uint64_t popped = 0;
-  TimedEvent event;
-  while (event_queue_.pop_due(tick_, &event)) {
-    ++popped;
-    EPI_ASSERT(event.tick == tick_,
-               "event for tick " << event.tick << " still queued at tick "
-                                 << tick_ << " — a quiescence skip "
-                                 << "jumped over scheduled work");
-    NodeState& node = nodes_[event.person - local_begin_];
-    if (node.next_transition_tick == tick_ && node.next_state != kNoState) {
-      ++output_.events_fired;
-      transition_person(event.person, node.next_state, kNoPerson);
-    } else {
-      ++output_.events_stale;
-    }
-  }
-  output_.work_units += popped;
 }
 
 void Simulation::apply_interventions() {
@@ -969,27 +877,57 @@ void Simulation::apply_interventions() {
 
 Tick Simulation::next_active_tick() const {
   // This rank's bid for the next tick that needs real work:
-  //   - the head of the timed-event queue (earliest pending progression);
-  //   - the next configured seeding tick (seeding is collective);
   //   - tick_ + 1 whenever transmission or an owed exchange could still
   //     happen: a live local frontier, subscribed ghost infectious persons,
   //     unsent advert deltas/tombstones, or queued remote isolations;
+  //   - the next configured seeding tick (seeding is collective);
   //   - each intervention's quiescent_until() hint. Hints may be rank-local
-  //     (trait triggers, local counts): the min-allreduce in run() turns
-  //     the most conservative rank's bid into the global decision.
-  Tick next = event_queue_.next_tick();
-  const auto seed_it =
-      std::upper_bound(seed_ticks_.begin(), seed_ticks_.end(), tick_);
-  if (seed_it != seed_ticks_.end()) next = std::min(next, *seed_it);
+  //     (trait triggers, local counts): agree_next_tick() turns the most
+  //     conservative rank's bid into the global decision;
+  //   - the earliest pending progression.
+  const Tick soonest = tick_ + 1;
   if (!local_infectious_.empty() || !ghost_active_.empty() ||
       !advertised_.empty() || !pending_remote_isolations_.empty()) {
-    next = std::min(next, tick_ + 1);
+    return soonest;
   }
+  Tick next = kNever;
+  const auto seed_it =
+      std::upper_bound(seed_ticks_.begin(), seed_ticks_.end(), tick_);
+  if (seed_it != seed_ticks_.end()) next = *seed_it;
   for (const auto& intervention : interventions_) {
-    next = std::min(next,
-                    std::max(intervention->quiescent_until(*this), tick_ + 1));
+    next = std::min(next, std::max(intervention->quiescent_until(*this),
+                                   soonest));
   }
-  return std::max(next, tick_ + 1);
+  if (next == soonest) return soonest;
+  // Only an otherwise quiet rank needs its earliest pending progression,
+  // so the pass over its persons runs on quiet ticks only: tracking the
+  // minimum inside step_progressions' scan slowed every busy tick.
+  for (const NodeState& node : nodes_) {
+    EPI_ASSERT(node.next_transition_tick > tick_,
+               "progression for tick " << node.next_transition_tick
+                                       << " still pending after tick "
+                                       << tick_);
+    next = std::min(next, node.next_transition_tick);
+  }
+  return std::max(next, soonest);
+}
+
+Tick Simulation::agree_next_tick() {
+  const Tick bid = next_active_tick();
+  const auto infectious = static_cast<std::int64_t>(local_infectious_.size());
+  if (comm_ == nullptr) {
+    infectious_total_ = infectious;
+    return bid;
+  }
+  const std::vector<std::int64_t> mine = {bid, infectious};
+  const auto all = comm_->allgatherv(mine);
+  Tick next = kNever;
+  infectious_total_ = 0;
+  for (std::size_t i = 0; i + 1 < all.size(); i += 2) {
+    next = std::min(next, static_cast<Tick>(all[i]));
+    infectious_total_ += all[i + 1];
+  }
+  return next;
 }
 
 SimOutput Simulation::run() {
@@ -1007,28 +945,18 @@ SimOutput Simulation::run() {
     step_progressions();
     apply_interventions();
 
-    output_.memory_bytes_per_tick.push_back(memory_footprint_bytes());
-    output_.seconds_per_tick.push_back(tick_timer.elapsed_seconds());
-    ++output_.ticks_executed;
-
-    if (!event_driven_) {
-      ++tick_;
-      continue;
-    }
     // Quiescence skip: agree on the next globally active tick and jump
     // there without touching person state. Skipping is safe because the
     // RNG is keyed by (person, tick) — dormant ticks consume no stream
     // state — and it is collective-safe because every rank takes the same
-    // min-allreduced jump, keeping lockstep collectives aligned.
-    Tick next = next_active_tick();
-    if (comm_ != nullptr) {
-      next = static_cast<Tick>(comm_->allreduce(
-          static_cast<std::int64_t>(next), mpilite::ReduceOp::kMin));
-    }
-    next = std::min(next, config_.num_ticks);
+    // jump, keeping lockstep collectives aligned.
+    const Tick next = std::min(agree_next_tick(), config_.num_ticks);
+    output_.memory_bytes_per_tick.push_back(memory_footprint_bytes());
+    output_.seconds_per_tick.push_back(tick_timer.elapsed_seconds());
+    ++output_.ticks_executed;
     for (Tick skipped = tick_ + 1; skipped < next; ++skipped) {
       // Skipped ticks still get per-tick output rows (zero activity, zero
-      // cost) so time series stay per-mode comparable tick for tick.
+      // cost) so time series stay comparable tick for tick.
       output_.new_infections_per_tick.push_back(0);
       output_.frontier_edges_per_tick.push_back(0);
       output_.memory_bytes_per_tick.push_back(memory_footprint_bytes());
@@ -1043,6 +971,8 @@ SimOutput Simulation::run() {
     metrics_->add("epihiper.events_stale", output_.events_stale);
     metrics_->add("epihiper.ticks_skipped", output_.ticks_skipped);
     metrics_->add("epihiper.ticks_executed", output_.ticks_executed);
+    metrics_->add("epihiper.broadcast_ticks", output_.broadcast_ticks);
+    metrics_->add("epihiper.ghost_ticks", output_.ghost_ticks);
   }
   output_.final_states.resize(local_end_ - local_begin_);
   for (PersonId p = local_begin_; p < local_end_; ++p) {

@@ -11,52 +11,46 @@
 // county-level aggregates are derived.
 //
 // The engine is partition-parallel over mpilite: each rank owns one
-// partition of the network (all in-edges of its nodes). Cross-rank
-// infection visibility uses a ghost-list halo exchange: at construction
-// each rank computes the exact set of remote persons appearing as sources
-// on its in-edges (its ghosts) and subscribes to their owners; per tick,
-// owners send only the *deltas* of their boundary infectious records
-// (became infectious / record changed / left infectious) to subscribing
-// ranks via alltoallv. Transmission compute is frontier-proportional: the
-// local infectious set is maintained incrementally and only susceptible
-// out-neighbors of currently-infectious sources are evaluated. Per tick the
-// frontier kernel costs O(hits + target groups x log gap): a counting
-// scatter puts the (edge, source) hits in edge order, and a galloping
-// forward search over the CSR offsets finds each group's target from the
-// previous one (DESIGN.md §9).
-//
-// On top of the ghost halo sits the *event-driven core* (ExaCorona
-// direction, DESIGN.md §14): within-host progressions are scheduled as
-// timed events in a deterministic (tick, kind, person) queue instead of
-// rescanning every person every tick, and globally quiescent tick ranges
-// — empty frontier, empty queues, no pending seeds / interventions /
-// isolation requests on any rank, agreed via an mpilite min-allreduce —
-// are skipped without touching person state. ExchangeMode::kAdaptive
-// additionally re-picks broadcast vs ghost-delta each executed tick from
-// the global frontier density. The legacy broadcast-everything kernel
-// (allgatherv of the full infectious set + full person/edge rescan,
-// ExchangeMode::kBroadcast) and the scan-based ghost mode (kGhostDelta)
-// are retained as A/B baselines; all modes draw identical RNG streams and
-// produce byte-identical epidemic output (tested).
+// partition of the network (all in-edges of its nodes). There is one
+// transmission step with two kernels, picked per executed tick from the
+// global infectious density (DESIGN.md §9, §14):
+//   - push, while fewer than 2% of persons are infectious: a ghost-list
+//     halo exchange sends each rank only the deltas of the remote boundary
+//     records it subscribed to at construction, and only the susceptible
+//     out-neighbours of infectious sources are evaluated. A counting
+//     scatter puts the (edge, source) hits in edge order and a galloping
+//     forward search over the CSR offsets finds each target, so a tick
+//     costs O(hits + target groups x log gap);
+//   - pull, at or above 2%: an allgatherv of every rank's infectious
+//     records and a rescan of every local susceptible's in-edges, which
+//     touches fewer edges than pushing once most persons are infected or
+//     immune. Flipping back to push resends the whole halo.
+// Within-host progressions come from one per-person scan per executed
+// tick. Globally quiescent tick ranges (no due progression, seed,
+// infectious record, owed exchange or intervention wake-up on any rank)
+// are skipped without touching person state; a rank with nothing else
+// pending finds its earliest pending progression with one more pass.
+// Every rank's skip bid and infectious count ride one end-of-tick
+// allgatherv, so all ranks skip and switch kernels on the same tick.
 //
 // All randomness is keyed by (seed, replicate, person, tick) — stateless
 // streams, no draw ever depends on a previous draw's position — which
-// makes results *identical for any rank count* (a property the tests rely
-// on) and is what lets skipped ticks consume nothing.
+// makes results *identical for any rank count and either kernel* (a
+// property the tests rely on) and is what lets skipped ticks consume
+// nothing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "epihiper/disease_model.hpp"
-#include "epihiper/event_queue.hpp"
 #include "mpilite/comm.hpp"
 #include "network/contact_network.hpp"
 #include "network/partition.hpp"
@@ -86,39 +80,6 @@ struct SeedSpec {
   Tick tick = 0;
 };
 
-/// How ranks learn about remote infectious contacts each tick, and whether
-/// the engine runs tick-driven (scan) or event-driven (queue + skip).
-/// Every mode produces byte-identical epidemic output (tested); they
-/// differ only in wire traffic and per-tick compute.
-enum class ExchangeMode : std::uint8_t {
-  /// Ghost-list halo exchange of boundary infectious *deltas* plus the
-  /// push-based candidate frontier; per-tick progression scan.
-  kGhostDelta,
-  /// Legacy baseline: allgatherv the full infectious set to every rank and
-  /// rescan every local person and in-edge. Kept for A/B benchmarking and
-  /// the byte-identity tests.
-  kBroadcast,
-  /// Event-driven core (the production mode): ghost-delta exchange,
-  /// progressions from the timed-event queue, quiescent tick ranges
-  /// skipped under a global min-allreduce agreement.
-  kEvent,
-  /// Event-driven core with a per-executed-tick broadcast-vs-ghost switch
-  /// keyed on global frontier density (DESIGN.md §14); the decision is an
-  /// allreduced count, so it is deterministic and rank-identical.
-  kAdaptive,
-};
-
-/// Canonical lowercase name ("ghost", "broadcast", "event", "adaptive").
-const char* exchange_mode_name(ExchangeMode mode);
-
-/// Inverse of exchange_mode_name; throws epi::Error on unknown names.
-ExchangeMode parse_exchange_mode(std::string_view name);
-
-/// The mode SimulationConfig defaults to: EPI_EXCHANGE when set (one of
-/// broadcast|ghost|event|adaptive), else kGhostDelta. Callers that assign
-/// config.exchange explicitly (A/B benches, mode tests) are unaffected.
-ExchangeMode default_exchange_mode();
-
 struct SimulationConfig {
   Tick num_ticks = 120;
   std::uint64_t seed = 1;
@@ -127,7 +88,6 @@ struct SimulationConfig {
   /// Record individual transition events (raw output). Aggregates are
   /// always recorded.
   bool record_transitions = true;
-  ExchangeMode exchange = default_exchange_mode();
 };
 
 /// Simulation output for one replicate.
@@ -144,19 +104,14 @@ struct SimOutput {
   std::uint64_t total_infections = 0;
   std::uint64_t communication_bytes = 0;  // mpilite traffic (scaling model)
   /// Bytes of per-tick ghost-delta payload this rank sent (a subset of
-  /// communication_bytes; zero in broadcast mode and serial runs).
+  /// communication_bytes; zero on pull ticks and in serial runs).
   std::uint64_t ghost_exchange_bytes = 0;
-  /// Per-tick count of candidate edges the transmission kernel evaluated —
-  /// the frontier size. Semantics per mode:
-  ///   kGhostDelta — edges pushed from currently-infectious sources (local
-  ///     + ghost) into this rank's partition;
-  ///   kBroadcast  — every in-edge of every susceptible local person (the
-  ///     full rescan), counted whether or not its source is infectious;
-  ///   kEvent      — as kGhostDelta on executed ticks, exactly 0 on
-  ///     skipped ticks (nothing is touched);
-  ///   kAdaptive   — per tick, whichever kernel the density switch picked
-  ///     (so the series is a mix of the two counting rules; use
-  ///     broadcast_ticks/ghost_ticks below to attribute them).
+  /// Per-tick count of candidate edges the transmission kernel evaluated:
+  /// on push ticks the edges pushed from infectious sources (local +
+  /// ghost) into this rank's partition, on pull ticks every in-edge of
+  /// every susceptible local person (counted whether or not its source is
+  /// infectious), and 0 on skipped ticks. broadcast_ticks/ghost_ticks
+  /// below say how many ticks used each rule.
   std::vector<std::uint64_t> frontier_edges_per_tick;
   /// Computational work performed by this rank: edge propensity
   /// evaluations plus per-node scans. On a dedicated-core machine,
@@ -167,21 +122,22 @@ struct SimOutput {
   /// compute-bound critical path.
   std::uint64_t max_rank_work_units = 0;
 
-  // --- Event-driven-core accounting (zero under the legacy modes) --------
-  /// Progression events pushed into the timed-event queue.
+  // --- Progression and tick accounting ----------------------------------
+  /// Within-host progressions scheduled (one per transition into a state
+  /// with an exit).
   std::uint64_t events_scheduled = 0;
-  /// Events popped and fired (the progression actually happened).
+  /// Scheduled progressions that happened.
   std::uint64_t events_fired = 0;
-  /// Events popped but superseded by a later transition (lazy
-  /// invalidation); scheduled == fired + stale + still-queued at exit.
+  /// Scheduled progressions superseded by another transition of the same
+  /// person first; scheduled == fired + stale + still pending at exit.
   std::uint64_t events_stale = 0;
   /// Ticks advanced without touching person state (globally quiescent).
   /// Rank-identical in parallel runs — the skip decision is collective.
   std::uint64_t ticks_skipped = 0;
   /// Ticks that actually executed; executed + skipped == num_ticks.
   std::uint64_t ticks_executed = 0;
-  /// kAdaptive only: executed ticks resolved to each kernel. The split is
-  /// deterministic (the switch keys on an allreduced infectious count).
+  /// Executed ticks that ran the pull kernel and the push kernel. The
+  /// split is rank-identical (the switch keys on a gathered count).
   std::uint64_t broadcast_ticks = 0;
   std::uint64_t ghost_ticks = 0;
 };
@@ -199,13 +155,13 @@ class Intervention {
   virtual ~Intervention() = default;
   virtual std::string name() const = 0;
   virtual void apply(Simulation& sim) = 0;
-  /// Quiescence hint for the event-driven core: the earliest future tick
-  /// at which this intervention might act. The default — "next tick" —
-  /// disables tick skipping while the intervention is installed, which is
-  /// always correct. Override to return a later tick (e.g. a fixed start
-  /// tick) and the scheduler may skip up to it. May be rank-local: the
-  /// global skip decision min-allreduces every rank's bid, so divergent
-  /// hints are safe. Must not mutate state.
+  /// Quiescence hint for tick skipping: the earliest future tick at which
+  /// this intervention might act. The default — "next tick" — disables
+  /// tick skipping while the intervention is installed, which is always
+  /// correct. Override to return a later tick (e.g. a fixed start tick)
+  /// and the engine may skip up to it. May be rank-local: the global skip
+  /// decision takes the minimum of every rank's bid, so divergent hints
+  /// are safe. Must not mutate state.
   virtual Tick quiescent_until(const Simulation& sim) const;
 };
 
@@ -323,7 +279,8 @@ class Simulation {
     HealthStateId health;
     float infectivity_scale = 1.0f;
     float susceptibility_scale = 1.0f;
-    Tick next_transition_tick = -1;
+    // Tick of the pending progression; max() when none is pending.
+    Tick next_transition_tick = std::numeric_limits<Tick>::max();
     HealthStateId next_state = kNoState;
   };
 
@@ -341,18 +298,14 @@ class Simulation {
   };
 
   void seed_infections();
-  /// Mode dispatch for the transmission step. All modes first snapshot the
-  /// local infectious records in ascending person order (tick_records_).
-  /// kBroadcast runs the full-rescan kernel; kGhostDelta and kEvent run
-  /// the push-based frontier kernel (with the halo exchange in parallel
-  /// runs); kAdaptive re-picks one of the two kernels per executed tick
-  /// from the allreduced global infectious count — see
-  /// step_transmissions_adaptive for the switch and the halo resync that
-  /// keeps ghost state consistent across kernel changes.
+  /// The transmission step. Snapshots the local infectious records in
+  /// ascending person order (tick_records_), then runs the pull kernel if
+  /// the global infectious count gathered at the end of the last executed
+  /// tick reaches 2% of the network, else the push kernel. The count is
+  /// the same on every rank, so every rank picks the same kernel.
   void step_transmissions();
-  void step_transmissions_broadcast();
-  void step_transmissions_frontier();
-  void step_transmissions_adaptive();
+  void step_transmissions_pull();
+  void step_transmissions_push();
   void exchange_ghost_deltas();
   void build_ghost_plan(const Partitioning& partitioning);
   /// Rebuilds the per-tick SoA mirror (slot_* arrays) of `records` for the
@@ -361,25 +314,29 @@ class Simulation {
   void build_record_soa(const std::vector<InfectiousInfo>& records);
   /// Forgets all advertised/ghost halo state (every record absent) so the
   /// next exchange_ghost_deltas() re-sends the full current boundary set —
-  /// the resync run after adaptive broadcast ticks left the halo stale.
-  /// Collective in effect: all ranks reset on the same tick because the
-  /// adaptive decision is global.
+  /// the resync run on the first push tick after pull ticks left the halo
+  /// stale. Collective in effect: all ranks reset on the same tick because
+  /// the kernel choice is global.
   void reset_ghost_halo();
+  /// Fires every progression due this tick, in ascending person order.
   void step_progressions();
-  void step_progressions_events();
   void apply_interventions();
   void exchange_remote_isolation_requests();
   /// The earliest future tick at which this rank might need to do any
-  /// work: queue head, frontier/halo activity, pending seeds,
-  /// interventions' quiescence hints, queued isolation requests. The
-  /// global skip target is the min-allreduce of every rank's value.
+  /// work: frontier/halo activity, queued isolation requests, pending
+  /// seeds, interventions' quiescence hints, the earliest pending
+  /// progression.
   Tick next_active_tick() const;
+  /// The end-of-tick collective: one allgatherv of every rank's
+  /// (next_active_tick, local infectious count). Stores the global count
+  /// for the next tick's kernel choice and returns the earliest bid.
+  Tick agree_next_tick();
   void transition_person(PersonId p, HealthStateId new_state, PersonId cause);
   Rng person_rng(PersonId p) const;
   InfectiousInfo infectious_record(PersonId p) const;
   /// Gillespie draw for one susceptible target after its candidates
   /// (candidate_rho_/candidate_slots_, in ascending EdgeIndex order) have
-  /// been collected; shared verbatim by all kernels so their RNG
+  /// been collected; shared verbatim by both kernels so their RNG
   /// consumption is identical. Sources are read from the slot_* SoA arrays
   /// (build_record_soa must cover the current records).
   void finish_candidate(PersonId p, double rate_sum);
@@ -417,11 +374,11 @@ class Simulation {
   std::vector<PersonId> local_infectious_;       // unordered members
   std::vector<std::uint32_t> local_infectious_pos_;  // local idx -> pos+1
 
-  // --- Broadcast-mode state (allocated only under kBroadcast) ------------
+  // --- Pull-kernel state (allocated on the first pull tick) --------------
   std::vector<InfectiousInfo> global_infectious_;
   std::vector<std::uint32_t> infectious_lookup_;  // person -> index+1, 0=none
 
-  // --- Ghost-list halo state (allocated only under kGhostDelta) ----------
+  // --- Ghost-list halo state (parallel runs; read by the push kernel) ---
   std::vector<PersonId> ghost_persons_;        // sorted remote in-edge sources
   std::vector<InfectiousInfo> ghost_records_;  // per ghost; kNoState = absent
   std::vector<std::uint32_t> ghost_active_;      // ghost indices, unordered
@@ -434,19 +391,19 @@ class Simulation {
   // diff against the current records yields the delta traffic.
   std::vector<InfectiousInfo> advertised_;
 
-  // --- Event-driven core (kEvent / kAdaptive only) -----------------------
-  bool event_driven_ = false;   // progressions from the queue + tick skipping
-  EventQueue event_queue_;
+  // --- Kernel switch and quiescence skipping ------------------------------
+  // Global infectious count gathered at the end of the last executed tick.
+  std::int64_t infectious_total_ = 0;
   std::vector<Tick> seed_ticks_;  // sorted unique pending-seed ticks
-  // kAdaptive: whether the advertised/ghost halo matches what subscribers
-  // last received; false after a broadcast tick (no deltas flowed), forcing
-  // reset_ghost_halo() before the next ghost-kernel exchange.
+  // Whether the advertised/ghost halo matches what subscribers last
+  // received; false after a pull tick (no deltas flowed), forcing
+  // reset_ghost_halo() before the next push tick's exchange.
   bool ghost_halo_synced_ = true;
 
   // --- Per-tick scratch, hoisted out of the hot loops --------------------
   std::vector<InfectiousInfo> tick_records_;   // current local (+ghost) view
-  // SoA mirror of the current records (build_record_soa): the frontier
-  // inner loop touches only these dense arrays, not the 12-byte AoS wire
+  // SoA mirror of the current records (build_record_soa): the kernels'
+  // inner loops touches only these dense arrays, not the 12-byte AoS wire
   // structs. slot_iota_ is the premultiplied effective source infectivity
   // (state infectivity x dynamic scale), computed once per record per tick
   // instead of once per candidate edge.
@@ -458,7 +415,7 @@ class Simulation {
   std::vector<InfectiousInfo> current_advert_;
   std::vector<std::vector<InfectiousInfo>> delta_outbox_;
   std::vector<PersonId> sorted_infectious_scratch_;
-  // Frontier kernel: each record slot's locally owned out-edges, then the
+  // Push kernel: each record slot's locally owned out-edges, then the
   // tick's hits packed by pack_hit (hit_order.hpp) in edge order, and the
   // block cursors order_hits scatters them with.
   std::vector<std::span<const EdgeIndex>> slot_out_edges_;

@@ -48,9 +48,6 @@ inline constexpr EnvVarInfo kEnvRegistry[] = {
     {"EPI_DETERMINISTIC_TIMING",
      "zero the wall-seconds half of the obs dual clock so traces and "
      "metrics are byte-reproducible"},
-    {"EPI_EXCHANGE",
-     "default exchange mode for simulations that do not set one "
-     "explicitly: broadcast, ghost (default), event, or adaptive"},
     {"EPI_JOBS",
      "engine-farm worker threads (positive int; 1 = the exact serial seed "
      "path)"},

@@ -1,116 +1,26 @@
-// Event-driven transmission core: event-queue ordering determinism, serial
-// and parallel byte-identity of the event mode against both legacy
-// exchange modes, quiescence tick-skipping, and the adaptive
-// broadcast/ghost switch.
-#include "epihiper/event_queue.hpp"
-
+// The transmission engine end to end: a serial oracle pinned while four
+// exchange modes still existed and agreed on it, serial/parallel
+// equivalence at 1/2/4/8 ranks, the parallel merge order, progression
+// accounting, and quiescence tick skipping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
+#include <map>
 #include <tuple>
 #include <vector>
 
 #include "epihiper/interventions.hpp"
 #include "epihiper/parallel.hpp"
-#include "epihiper/simulation.hpp"
+#include "epihiper/scripted.hpp"
 #include "synthpop/generator.hpp"
-#include "util/error.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace epi {
 namespace {
 
-// --- EventQueue unit tests ------------------------------------------------
-
-std::vector<TimedEvent> drain(EventQueue& queue) {
-  std::vector<TimedEvent> popped;
-  TimedEvent event;
-  while (queue.pop_due(EventQueue::kNever - 1, &event)) popped.push_back(event);
-  return popped;
-}
-
-bool strictly_ordered(const std::vector<TimedEvent>& events) {
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    const auto a = std::tuple(events[i - 1].tick, events[i - 1].kind,
-                              events[i - 1].person);
-    const auto b = std::tuple(events[i].tick, events[i].kind,
-                              events[i].person);
-    if (b < a) return false;
-  }
-  return true;
-}
-
-TEST(EventQueue, PopsInTickThenPersonOrder) {
-  EventQueue queue;
-  queue.schedule(5, EventKind::kProgression, 7);
-  queue.schedule(3, EventKind::kProgression, 9);
-  queue.schedule(3, EventKind::kProgression, 2);
-  queue.schedule(8, EventKind::kProgression, 1);
-  const auto popped = drain(queue);
-  ASSERT_EQ(popped.size(), 4u);
-  EXPECT_EQ(popped[0].tick, 3);
-  EXPECT_EQ(popped[0].person, 2u);
-  EXPECT_EQ(popped[1].tick, 3);
-  EXPECT_EQ(popped[1].person, 9u);
-  EXPECT_EQ(popped[2].tick, 5);
-  EXPECT_EQ(popped[3].tick, 8);
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.next_tick(), EventQueue::kNever);
-}
-
-TEST(EventQueue, PopOrderIndependentOfInsertionOrder) {
-  // The pop sequence must be a pure function of the scheduled multiset:
-  // insert the same events in many deterministic permutations and require
-  // identical drains. (xorshift, fixed seed — no global RNG state.)
-  std::vector<TimedEvent> events;
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  for (int i = 0; i < 200; ++i) {
-    events.push_back(TimedEvent{static_cast<Tick>(next() % 40),
-                                EventKind::kProgression,
-                                static_cast<PersonId>(next() % 64)});
-  }
-  std::vector<std::vector<TimedEvent>> drains;
-  for (int round = 0; round < 5; ++round) {
-    for (std::size_t i = events.size(); i > 1; --i) {
-      std::swap(events[i - 1], events[next() % i]);
-    }
-    EventQueue queue;
-    for (const TimedEvent& e : events) queue.schedule(e.tick, e.kind, e.person);
-    drains.push_back(drain(queue));
-  }
-  for (const auto& d : drains) {
-    ASSERT_EQ(d.size(), events.size());
-    EXPECT_TRUE(strictly_ordered(d));
-    EXPECT_EQ(d[0].tick, drains[0][0].tick);
-    for (std::size_t i = 0; i < d.size(); ++i) {
-      EXPECT_EQ(d[i].tick, drains[0][i].tick) << "event " << i;
-      EXPECT_EQ(d[i].person, drains[0][i].person) << "event " << i;
-    }
-  }
-}
-
-TEST(EventQueue, PopDueRespectsTickHorizon) {
-  EventQueue queue;
-  queue.schedule(4, EventKind::kProgression, 1);
-  queue.schedule(6, EventKind::kProgression, 2);
-  TimedEvent event;
-  EXPECT_FALSE(queue.pop_due(3, &event));
-  EXPECT_EQ(queue.next_tick(), 4);
-  ASSERT_TRUE(queue.pop_due(4, &event));
-  EXPECT_EQ(event.person, 1u);
-  EXPECT_FALSE(queue.pop_due(5, &event));
-  EXPECT_EQ(queue.next_tick(), 6);
-  EXPECT_EQ(queue.size(), 1u);
-  EXPECT_EQ(queue.scheduled(), 2u);
-}
-
-// --- Simulation fixtures --------------------------------------------------
+// --- Fixtures -------------------------------------------------------------
 
 const SyntheticRegion& test_region() {
   static const SyntheticRegion region = [] {
@@ -131,132 +41,398 @@ SimulationConfig base_config(Tick ticks = 60) {
   return config;
 }
 
-void expect_same_epidemic(const SimOutput& a, const SimOutput& b) {
-  EXPECT_EQ(a.total_infections, b.total_infections);
-  EXPECT_EQ(a.new_infections_per_tick, b.new_infections_per_tick);
-  EXPECT_EQ(a.final_states, b.final_states);
-  ASSERT_EQ(a.transitions.size(), b.transitions.size());
-  for (std::size_t i = 0; i < a.transitions.size(); ++i) {
-    EXPECT_EQ(a.transitions[i].tick, b.transitions[i].tick) << "event " << i;
-    EXPECT_EQ(a.transitions[i].person, b.transitions[i].person)
-        << "event " << i;
-    EXPECT_EQ(a.transitions[i].exit_state, b.transitions[i].exit_state)
-        << "event " << i;
-    EXPECT_EQ(a.transitions[i].infector, b.transitions[i].infector)
-        << "event " << i;
-  }
+// VA at 1/400 (21,339 persons): an uncontrolled epidemic that pulls on
+// most ticks and puts thousands of hits on a rank on many push ticks.
+const SyntheticRegion& frontier_region() {
+  static const SyntheticRegion region = [] {
+    SynthPopConfig config;
+    config.region = "VA";
+    config.scale = 1.0 / 400.0;
+    return generate_region(config);
+  }();
+  return region;
 }
 
-SimOutput run_mode(ExchangeMode mode, Tick ticks = 60,
-                   const InterventionFactory& factory = nullptr) {
-  SimulationConfig config = base_config(ticks);
-  config.exchange = mode;
+SimulationConfig frontier_config() {
+  SimulationConfig config;
+  config.num_ticks = 120;
+  config.seed = 42;
+  config.seeds = {SeedSpec{0, 5, 0}, SeedSpec{1, 5, 0}, SeedSpec{2, 5, 0}};
+  return config;
+}
+
+DiseaseModel model_with(double transmissibility) {
+  CovidParams params;
+  params.transmissibility = transmissibility;
+  return covid_model(params);
+}
+
+// Contact tracing isolates *remote* persons (the owner-routed isolation
+// path), and isolation flips the advertised records of still-infectious
+// persons (changed-record halo deltas, not just became/left).
+InterventionFactory stacked_interventions() {
+  return [] {
+    return std::vector<std::shared_ptr<Intervention>>{
+        std::make_shared<VoluntaryHomeIsolation>(
+            VoluntaryHomeIsolation::Config{0.7, 14, 0}),
+        std::make_shared<SchoolClosure>(SchoolClosure::Config{10, 60}),
+        std::make_shared<StayAtHome>(StayAtHome::Config{20, 45, 0.6}),
+        std::make_shared<ContactTracing>(
+            ContactTracing::Config{2, 5, 0.5, 0.7, 10})};
+  };
+}
+
+SimOutput run_dc(const SimulationConfig& config, const DiseaseModel& model,
+                 const InterventionFactory& factory = nullptr) {
   return run_simulation(test_region().network, test_region().population,
-                        covid_model(), config, factory);
+                        model, config, factory);
 }
 
-// --- Serial byte-identity -------------------------------------------------
+SimOutput run_on_ranks(int ranks, const SyntheticRegion& region,
+                       const SimulationConfig& config,
+                       const DiseaseModel& model,
+                       const InterventionFactory& factory = nullptr) {
+  const Partitioning parts =
+      partition_network(region.network, static_cast<std::size_t>(ranks));
+  return run_simulation_parallel(region.network, region.population, model,
+                                 config, parts, ranks, factory);
+}
 
-// The event-driven core must replay the per-tick scan byte for byte — the
-// exact transition sequence, order included — against both legacy modes.
+/// The transition log, final states and incidence. The serial engine logs
+/// a tick's transitions in processing order and the parallel merge by
+/// person, so rank counts compare with the log as a sorted set.
+std::string epidemic_digest(const SimOutput& out, bool as_set) {
+  std::vector<TransitionEvent> events = out.transitions;
+  if (as_set) {
+    std::sort(events.begin(), events.end(),
+              [](const TransitionEvent& a, const TransitionEvent& b) {
+                return std::tie(a.tick, a.person, a.exit_state, a.infector) <
+                       std::tie(b.tick, b.person, b.exit_state, b.infector);
+              });
+  }
+  std::string bytes;
+  for (const TransitionEvent& e : events) {
+    bytes.append(reinterpret_cast<const char*>(&e.tick), sizeof(e.tick));
+    bytes.append(reinterpret_cast<const char*>(&e.person), sizeof(e.person));
+    bytes.append(reinterpret_cast<const char*>(&e.exit_state),
+                 sizeof(e.exit_state));
+    bytes.append(reinterpret_cast<const char*>(&e.infector),
+                 sizeof(e.infector));
+  }
+  bytes.append(reinterpret_cast<const char*>(out.final_states.data()),
+               out.final_states.size() * sizeof(HealthStateId));
+  const auto& incidence = out.new_infections_per_tick;
+  bytes.append(reinterpret_cast<const char*>(incidence.data()),
+               incidence.size() * sizeof(std::uint64_t));
+  return to_hex(hash128(bytes));
+}
+
+// --- Pinned oracle --------------------------------------------------------
+
+// Recorded while the broadcast, ghost, event and adaptive exchange modes
+// still existed: on each configuration all four gave these digests
+// serially and the same sets at 1/2/4/8 ranks. The kernel split is the
+// adaptive mode's, which the engine's density switch reproduces.
+struct Pin {
+  const char* emission;  // serial log in emission order
+  const char* set;       // log as a sorted set, any rank count
+  std::uint64_t infections;
+  std::uint64_t pull_ticks;
+  std::uint64_t push_ticks;
+};
+
+constexpr Pin kDcBase = {"8cee73952914df89020731281f9843c0",
+                         "67cd6293839beaf5434c7884849cfd9c", 1453, 35, 22};
+constexpr Pin kDcLateSeeds = {"a74031231072f026f103011df917fe2b",
+                              "ac2889556b7d559e80635618fdded703", 236, 4, 24};
+constexpr Pin kDcStackedHot = {"af932e56324f0d5a64ae4e0394345c5b",
+                               "25a3fe11aefd5d8aa0636ff9f810102b", 195, 1,
+                               49};
+constexpr Pin kDcStackedMild = {"8fd1f3c83320efb5187e31e0d93e2e50",
+                                "b329539922a7b9155e652560227285d8", 62, 0,
+                                50};
+constexpr Pin kVaFrontier = {"d9b6c5910dd1c46897ccfc7c3f53af59",
+                             "d118ead53f1ad544d866b774e978ffdd", 14983, 69,
+                             48};
+
+void expect_pinned(const SimOutput& out, const Pin& pin, bool serial) {
+  if (serial) {
+    EXPECT_EQ(epidemic_digest(out, false), pin.emission);
+  }
+  EXPECT_EQ(epidemic_digest(out, true), pin.set);
+  EXPECT_EQ(out.total_infections, pin.infections);
+  EXPECT_EQ(out.broadcast_ticks, pin.pull_ticks);
+  EXPECT_EQ(out.ghost_ticks, pin.push_ticks);
+  EXPECT_EQ(out.ticks_executed, pin.pull_ticks + pin.push_ticks);
+}
+
 TEST(EventCore, SerialEventMatchesBothLegacyModesByteForByte) {
-  const SimOutput event = run_mode(ExchangeMode::kEvent);
-  const SimOutput bcast = run_mode(ExchangeMode::kBroadcast);
-  const SimOutput ghost = run_mode(ExchangeMode::kGhostDelta);
-  expect_same_epidemic(event, bcast);
-  expect_same_epidemic(event, ghost);
-  EXPECT_GT(event.events_scheduled, 0u);
-  EXPECT_GT(event.events_fired, 0u);
-  EXPECT_EQ(event.ticks_executed + event.ticks_skipped, 60u);
-  // Legacy modes never skip and schedule no events.
-  EXPECT_EQ(bcast.events_scheduled, 0u);
-  EXPECT_EQ(bcast.ticks_skipped, 0u);
-  EXPECT_EQ(ghost.ticks_skipped, 0u);
+  const SimOutput out = run_dc(base_config(60), covid_model());
+  expect_pinned(out, kDcBase, true);
+  // Dense: the epidemic crosses the 2% switch, so both kernels run.
+  EXPECT_GT(out.broadcast_ticks, 0u);
+  EXPECT_GT(out.ghost_ticks, 0u);
+  EXPECT_EQ(out.ticks_executed + out.ticks_skipped, 60u);
+  EXPECT_EQ(out.ghost_exchange_bytes, 0u);  // serial runs exchange nothing
+}
+
+TEST(EventCore, SerialAdaptiveMatchesBothFixedModesUnderInterventions) {
+  const SimOutput hot =
+      run_dc(base_config(50), model_with(0.5), stacked_interventions());
+  expect_pinned(hot, kDcStackedHot, true);
+  EXPECT_GT(hot.broadcast_ticks, 0u);
+  EXPECT_GT(hot.ghost_ticks, 0u);
+  // Sparse: the stack keeps the milder epidemic under 2%, push only.
+  const SimOutput mild =
+      run_dc(base_config(50), model_with(0.25), stacked_interventions());
+  expect_pinned(mild, kDcStackedMild, true);
+  EXPECT_EQ(mild.broadcast_ticks, 0u);
+}
+
+TEST(ParallelFrontier, SerialKernelsMatchPinnedDigest) {
+  const SimOutput out =
+      run_simulation(frontier_region().network, frontier_region().population,
+                     covid_model(), frontier_config());
+  expect_pinned(out, kVaFrontier, true);
+  EXPECT_GT(out.broadcast_ticks, 0u);
+  EXPECT_GT(out.ghost_ticks, 0u);
 }
 
 TEST(EventCore, SameSeedSameEventOrderAcrossRuns) {
-  const SimOutput a = run_mode(ExchangeMode::kEvent);
-  const SimOutput b = run_mode(ExchangeMode::kEvent);
-  expect_same_epidemic(a, b);
+  const SimOutput a = run_dc(base_config(60), covid_model());
+  const SimOutput b = run_dc(base_config(60), covid_model());
+  EXPECT_EQ(epidemic_digest(a, false), epidemic_digest(b, false));
   EXPECT_EQ(a.events_scheduled, b.events_scheduled);
   EXPECT_EQ(a.events_fired, b.events_fired);
   EXPECT_EQ(a.events_stale, b.events_stale);
   EXPECT_EQ(a.ticks_skipped, b.ticks_skipped);
 }
 
-// --- Parallel byte-identity (suite name carries "Parallel" so the
-// CommChecker CI lane re-runs these under EPI_MPILITE_CHECK=1) -------------
+// --- Serial vs parallel (each suite compares 1/2/4/8 ranks with the pin
+// recorded from the serial broadcast run; the CommChecker and forked-rank
+// CI passes re-run the suites matching "Parallel" or "Ghost") ------------
 
+class GhostEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(GhostEquivalence, MatchesSerialBroadcast) {
+  const SimOutput out =
+      run_on_ranks(GetParam(), test_region(), base_config(60), covid_model());
+  expect_pinned(out, kDcBase, false);
+  if (GetParam() > 1) {
+    EXPECT_GT(out.ghost_exchange_bytes, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, GhostEquivalence,
+                         ::testing::Values(1, 2, 4, 8));
+
+// Late seeds: every rank must bid to skip the dormant prefix, so the
+// ranks skip exactly the ticks the serial run skips.
 class EventParallelEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(EventParallelEquivalence, MatchesSerialBroadcast) {
-  const int ranks = GetParam();
-  const DiseaseModel model = covid_model();
-  SimulationConfig serial_config = base_config(40);
-  serial_config.exchange = ExchangeMode::kBroadcast;
-  const SimOutput serial = run_simulation(
-      test_region().network, test_region().population, model, serial_config);
-  const Partitioning parts =
-      partition_network(test_region().network, static_cast<std::size_t>(ranks));
-  SimulationConfig event_config = base_config(40);
-  event_config.exchange = ExchangeMode::kEvent;
-  const SimOutput parallel =
-      run_simulation_parallel(test_region().network, test_region().population,
-                              model, event_config, parts, ranks);
-  EXPECT_EQ(parallel.total_infections, serial.total_infections);
-  EXPECT_EQ(parallel.new_infections_per_tick, serial.new_infections_per_tick);
-  EXPECT_EQ(parallel.final_states, serial.final_states);
-  ASSERT_EQ(parallel.transitions.size(), serial.transitions.size());
-  auto key = [](const TransitionEvent& e) {
-    return std::tuple(e.tick, e.person, e.exit_state, e.infector);
-  };
-  std::vector<std::tuple<Tick, PersonId, HealthStateId, PersonId>> s, p;
-  for (const auto& e : serial.transitions) s.push_back(key(e));
-  for (const auto& e : parallel.transitions) p.push_back(key(e));
-  std::sort(s.begin(), s.end());
-  std::sort(p.begin(), p.end());
-  EXPECT_EQ(s, p);
-  EXPECT_EQ(parallel.ticks_executed + parallel.ticks_skipped, 40u);
+  SimulationConfig config = base_config(60);
+  config.seeds = {SeedSpec{0, 10, 30}};
+  const SimOutput serial = run_dc(config, covid_model());
+  const SimOutput out =
+      run_on_ranks(GetParam(), test_region(), config, covid_model());
+  expect_pinned(out, kDcLateSeeds, false);
+  EXPECT_GE(out.ticks_skipped, 29u);
+  EXPECT_EQ(out.ticks_skipped, serial.ticks_skipped);
+  EXPECT_EQ(out.ticks_executed + out.ticks_skipped, 60u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, EventParallelEquivalence,
                          ::testing::Values(1, 2, 4, 8));
 
+// The hot stack crosses the 2% switch: both kernels run on every rank
+// count, with the intervention stack acting between them.
+class AdaptiveParallelEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(AdaptiveParallelEquivalence, MatchesSerialBroadcastUnderInterventions) {
+  expect_pinned(run_on_ranks(GetParam(), test_region(), base_config(50),
+                             model_with(0.5), stacked_interventions()),
+                kDcStackedHot, false);
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, AdaptiveParallelEquivalence,
+                         ::testing::Values(2, 4, 8));
+
+// The mild stack stays push-only, so every tick goes through the ghost
+// halo, carrying remote isolations and changed records.
+class GhostHaloInterventionEquivalence
+    : public ::testing::TestWithParam<int> {};
+
+TEST_P(GhostHaloInterventionEquivalence, MatchesSerialBroadcast) {
+  const SimOutput out =
+      run_on_ranks(GetParam(), test_region(), base_config(50),
+                   model_with(0.25), stacked_interventions());
+  expect_pinned(out, kDcStackedMild, false);
+  if (GetParam() > 1) {
+    EXPECT_GT(out.ghost_exchange_bytes, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, GhostHaloInterventionEquivalence,
+                         ::testing::Values(1, 2, 4, 8));
+
+// Partition slack, in percent of the mean part's edge count: the sweep's
+// epsilon moves every part boundary, and with it every rank's halo.
+struct Slack {
+  std::uint8_t percent;
+};
+
+class ParallelFrontierRanks
+    : public ::testing::TestWithParam<std::tuple<int, Slack>> {};
+
+TEST_P(ParallelFrontierRanks, MatchesSerialBroadcast) {
+  const auto [ranks, slack] = GetParam();
+  const ContactNetwork& network = frontier_region().network;
+  const std::uint64_t epsilon = network.edge_count() * slack.percent / 100 /
+                                static_cast<std::uint64_t>(ranks);
+  const Partitioning parts =
+      partition_network(network, static_cast<std::size_t>(ranks), epsilon);
+  if (slack.percent > 0) {
+    EXPECT_NE(parts.part(0).node_end,
+              partition_network(network, static_cast<std::size_t>(ranks))
+                  .part(0)
+                  .node_end);
+  }
+  expect_pinned(run_simulation_parallel(network, frontier_region().population,
+                                        covid_model(), frontier_config(),
+                                        parts, ranks),
+                kVaFrontier, false);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RanksAndModes, ParallelFrontierRanks,
+    ::testing::Combine(::testing::Values(2, 4, 8),
+                       ::testing::Values(Slack{0}, Slack{2})));
+
+// A script that moves every Exposed person on to Asymptomatic in the tick
+// they became Exposed: each person seeded or infected in a tick logs two
+// transitions under one (tick, person) key, and their first progression
+// is superseded.
+InterventionFactory expose_through() {
+  return [] {
+    return std::vector<std::shared_ptr<Intervention>>{
+        std::make_shared<ScriptedIntervention>(parse_json(R"({
+          "name": "expose-through",
+          "trigger": {"op": ">=", "left": {"var": "time"},
+                      "right": {"value": 0}},
+          "actions": [{"target": "nodes",
+                       "filter": {"healthState": "Exposed"},
+                       "operations": [{"set": "healthState",
+                                       "value": "Asymptomatic"}]}]})"))};
+  };
+}
+
+SimulationConfig crowded_seeds_config() {
+  SimulationConfig config = base_config(30);
+  config.seeds = {SeedSpec{0, 400, 0}};
+  return config;
+}
+
+// Each person's same-tick transitions, in log order.
+using TickSequences =
+    std::map<std::pair<Tick, PersonId>,
+             std::vector<std::pair<HealthStateId, PersonId>>>;
+
+TickSequences tick_sequences(const SimOutput& out) {
+  TickSequences sequences;
+  for (const TransitionEvent& e : out.transitions) {
+    sequences[{e.tick, e.person}].emplace_back(e.exit_state, e.infector);
+  }
+  return sequences;
+}
+
+class ParallelMergeOrder : public ::testing::TestWithParam<int> {};
+
+// Replaying a log in which a pair swapped would leave the person Exposed.
+TEST_P(ParallelMergeOrder, SameTickTransitionsKeepSerialOrder) {
+  const SimOutput serial =
+      run_dc(crowded_seeds_config(), covid_model(), expose_through());
+  const TickSequences expected = tick_sequences(serial);
+  std::size_t doubled = 0;
+  for (const auto& [key, sequence] : expected) {
+    if (sequence.size() > 1) ++doubled;
+  }
+  ASSERT_GT(doubled, 1000u);
+  const SimOutput parallel =
+      run_on_ranks(GetParam(), test_region(), crowded_seeds_config(),
+                   covid_model(), expose_through());
+  EXPECT_EQ(tick_sequences(parallel), expected);
+  EXPECT_EQ(parallel.final_states, serial.final_states);
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, ParallelMergeOrder,
+                         ::testing::Values(2, 4, 8));
+
+// --- Progression accounting -----------------------------------------------
+
+// Progressions still pending at exit: every person who transitioned at
+// least once into a state with an exit for their age group.
+std::uint64_t pending_progressions(const SimOutput& out,
+                                   const DiseaseModel& model) {
+  std::vector<bool> transitioned(out.final_states.size(), false);
+  for (const TransitionEvent& e : out.transitions) {
+    transitioned[e.person] = true;
+  }
+  const Population& population = test_region().population;
+  std::uint64_t pending = 0;
+  for (PersonId p = 0; p < out.final_states.size(); ++p) {
+    Rng rng(p);
+    HealthStateId next = kNoState;
+    Tick dwell = 0;
+    if (transitioned[p] &&
+        model.sample_progression(out.final_states[p], population.age_group(p),
+                                 rng, &next, &dwell)) {
+      ++pending;
+    }
+  }
+  return pending;
+}
+
+TEST(EventCore, ProgressionAccountingBalances) {
+  const DiseaseModel model = covid_model();
+  const SimOutput serial =
+      run_dc(crowded_seeds_config(), model, expose_through());
+  EXPECT_GT(serial.events_fired, 0u);
+  EXPECT_GT(serial.events_stale, 0u);
+  EXPECT_EQ(serial.events_scheduled, serial.events_fired +
+                                         serial.events_stale +
+                                         pending_progressions(serial, model));
+  // Each progression belongs to one rank, so the ranks' counts add up to
+  // the serial ones.
+  const SimOutput parallel = run_on_ranks(
+      4, test_region(), crowded_seeds_config(), model, expose_through());
+  EXPECT_EQ(parallel.events_scheduled, serial.events_scheduled);
+  EXPECT_EQ(parallel.events_fired, serial.events_fired);
+  EXPECT_EQ(parallel.events_stale, serial.events_stale);
+}
+
 // --- Quiescence skipping --------------------------------------------------
 
-// Seeds landing late leave a long dormant prefix: the event core must jump
-// over it without touching person state and still match the legacy scan.
+// Seeds landing late leave a long dormant prefix: the engine must jump
+// over it without touching person state and still match the pin.
 TEST(EventCore, SkipsDormantPrefixBeforeLateSeeds) {
-  SimulationConfig legacy_config = base_config(60);
-  legacy_config.seeds = {SeedSpec{0, 10, 30}};  // county 0, 10 seeds, tick 30
-  legacy_config.exchange = ExchangeMode::kGhostDelta;
-  SimulationConfig event_config = legacy_config;
-  event_config.exchange = ExchangeMode::kEvent;
-  const DiseaseModel model = covid_model();
-  const SimOutput legacy = run_simulation(
-      test_region().network, test_region().population, model, legacy_config);
-  const SimOutput event = run_simulation(
-      test_region().network, test_region().population, model, event_config);
-  expect_same_epidemic(event, legacy);
+  SimulationConfig config = base_config(60);
+  config.seeds = {SeedSpec{0, 10, 30}};  // county 0, 10 seeds, tick 30
+  const SimOutput out = run_dc(config, covid_model());
+  expect_pinned(out, kDcLateSeeds, true);
   // Ticks 1..29 are globally dormant (tick 0 always executes); the dormant
   // gap must be skipped, not scanned.
-  EXPECT_GE(event.ticks_skipped, 29u);
-  EXPECT_EQ(event.ticks_executed + event.ticks_skipped, 60u);
-  ASSERT_EQ(event.seconds_per_tick.size(), 60u);
-  ASSERT_EQ(event.new_infections_per_tick.size(), 60u);
-  ASSERT_EQ(event.memory_bytes_per_tick.size(), 60u);
+  EXPECT_GE(out.ticks_skipped, 29u);
+  EXPECT_EQ(out.ticks_executed + out.ticks_skipped, 60u);
+  ASSERT_EQ(out.seconds_per_tick.size(), 60u);
+  ASSERT_EQ(out.new_infections_per_tick.size(), 60u);
+  ASSERT_EQ(out.memory_bytes_per_tick.size(), 60u);
 }
 
 // With zero transmissibility the seeds progress to a terminal state and the
 // world goes quiet; the tail of the run must be skipped.
 TEST(EventCore, SkipsQuiescentTailAfterEpidemicDies) {
-  CovidParams params;
-  params.transmissibility = 0.0;
-  const DiseaseModel model = covid_model(params);
-  SimulationConfig config = base_config(200);
-  config.exchange = ExchangeMode::kEvent;
-  const SimOutput out = run_simulation(test_region().network,
-                                       test_region().population, model, config);
+  const SimOutput out = run_dc(base_config(200), model_with(0.0));
   EXPECT_EQ(out.total_infections, 0u);
   EXPECT_FALSE(out.transitions.empty());  // seeds still progress
   EXPECT_GT(out.ticks_skipped, 100u);
@@ -272,7 +448,8 @@ class ScheduledProbe : public Intervention {
   std::string name() const override { return "probe"; }
   void apply(Simulation& sim) override { applied_at_->push_back(sim.tick()); }
   Tick quiescent_until(const Simulation& sim) const override {
-    return sim.tick() < action_tick_ ? action_tick_ : EventQueue::kNever;
+    return sim.tick() < action_tick_ ? action_tick_
+                                     : std::numeric_limits<Tick>::max();
   }
 
  private:
@@ -281,20 +458,17 @@ class ScheduledProbe : public Intervention {
 };
 
 TEST(EventCore, QuiescentUntilHintsGateInterventionWakeups) {
-  // No seeds, no events: the only activity is the probe's scheduled action
-  // at tick 20. The run must execute exactly tick 0 (first tick always
-  // runs) and tick 20, skipping the other 28.
+  // No seeds, no progressions: the only activity is the probe's scheduled
+  // action at tick 20. The run must execute exactly tick 0 (first tick
+  // always runs) and tick 20, skipping the other 28.
   std::vector<Tick> applied_at;
   SimulationConfig config = base_config(30);
   config.seeds.clear();
-  config.exchange = ExchangeMode::kEvent;
   auto factory = [&applied_at] {
     return std::vector<std::shared_ptr<Intervention>>{
         std::make_shared<ScheduledProbe>(20, &applied_at)};
   };
-  const SimOutput out =
-      run_simulation(test_region().network, test_region().population,
-                     covid_model(), config, factory);
+  const SimOutput out = run_dc(config, covid_model(), factory);
   EXPECT_EQ(applied_at, (std::vector<Tick>{0, 20}));
   EXPECT_EQ(out.ticks_executed, 2u);
   EXPECT_EQ(out.ticks_skipped, 28u);
@@ -303,111 +477,16 @@ TEST(EventCore, QuiescentUntilHintsGateInterventionWakeups) {
 TEST(EventCore, DefaultInterventionHintBlocksSkipping) {
   // An intervention without a quiescent_until override may act every tick,
   // so its presence must pin the run to full per-tick execution.
-  std::vector<Tick> applied_at;
   SimulationConfig config = base_config(30);
   config.seeds.clear();
-  config.exchange = ExchangeMode::kEvent;
   auto factory = [] {
     return std::vector<std::shared_ptr<Intervention>>{
         std::make_shared<VoluntaryHomeIsolation>(
             VoluntaryHomeIsolation::Config{0.7, 14, 0})};
   };
-  const SimOutput out =
-      run_simulation(test_region().network, test_region().population,
-                     covid_model(), config, factory);
+  const SimOutput out = run_dc(config, covid_model(), factory);
   EXPECT_EQ(out.ticks_executed, 30u);
   EXPECT_EQ(out.ticks_skipped, 0u);
-}
-
-// --- Adaptive mode --------------------------------------------------------
-
-InterventionFactory stacked_interventions() {
-  return [] {
-    return std::vector<std::shared_ptr<Intervention>>{
-        std::make_shared<VoluntaryHomeIsolation>(
-            VoluntaryHomeIsolation::Config{0.7, 14, 0}),
-        std::make_shared<SchoolClosure>(SchoolClosure::Config{10, 60}),
-        std::make_shared<StayAtHome>(StayAtHome::Config{20, 45, 0.6}),
-        std::make_shared<ContactTracing>(
-            ContactTracing::Config{2, 5, 0.5, 0.7, 10})};
-  };
-}
-
-TEST(EventCore, SerialAdaptiveMatchesBothFixedModesUnderInterventions) {
-  CovidParams params;
-  // Hot enough that concurrent infectious crosses the adaptive density
-  // threshold even with the intervention stack suppressing spread.
-  params.transmissibility = 0.5;
-  const DiseaseModel model = covid_model(params);
-  auto run_with = [&model](ExchangeMode mode) {
-    SimulationConfig config = base_config(50);
-    config.exchange = mode;
-    return run_simulation(test_region().network, test_region().population,
-                          model, config, stacked_interventions());
-  };
-  const SimOutput adaptive = run_with(ExchangeMode::kAdaptive);
-  const SimOutput bcast = run_with(ExchangeMode::kBroadcast);
-  const SimOutput ghost = run_with(ExchangeMode::kGhostDelta);
-  expect_same_epidemic(adaptive, bcast);
-  expect_same_epidemic(adaptive, ghost);
-  // The epidemic starts sparse and grows past the density threshold, so
-  // the run must genuinely exercise both kernels.
-  EXPECT_GT(adaptive.ghost_ticks, 0u);
-  EXPECT_GT(adaptive.broadcast_ticks, 0u);
-}
-
-class AdaptiveParallelEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(AdaptiveParallelEquivalence, MatchesSerialBroadcastUnderInterventions) {
-  const int ranks = GetParam();
-  CovidParams params;
-  params.transmissibility = 0.25;
-  const DiseaseModel model = covid_model(params);
-  SimulationConfig serial_config = base_config(50);
-  serial_config.exchange = ExchangeMode::kBroadcast;
-  const SimOutput serial =
-      run_simulation(test_region().network, test_region().population, model,
-                     serial_config, stacked_interventions());
-  const Partitioning parts =
-      partition_network(test_region().network, static_cast<std::size_t>(ranks));
-  SimulationConfig adaptive_config = base_config(50);
-  adaptive_config.exchange = ExchangeMode::kAdaptive;
-  const SimOutput parallel = run_simulation_parallel(
-      test_region().network, test_region().population, model, adaptive_config,
-      parts, ranks, stacked_interventions());
-  EXPECT_EQ(parallel.total_infections, serial.total_infections);
-  EXPECT_EQ(parallel.new_infections_per_tick, serial.new_infections_per_tick);
-  EXPECT_EQ(parallel.final_states, serial.final_states);
-}
-
-INSTANTIATE_TEST_SUITE_P(RankCounts, AdaptiveParallelEquivalence,
-                         ::testing::Values(2, 4, 8));
-
-// --- EPI_EXCHANGE wiring --------------------------------------------------
-
-TEST(EventCore, ExchangeModeNamesRoundTrip) {
-  for (ExchangeMode mode :
-       {ExchangeMode::kBroadcast, ExchangeMode::kGhostDelta,
-        ExchangeMode::kEvent, ExchangeMode::kAdaptive}) {
-    EXPECT_EQ(parse_exchange_mode(exchange_mode_name(mode)), mode);
-  }
-  EXPECT_THROW(parse_exchange_mode("banana"), Error);
-}
-
-TEST(EventCore, EnvOverrideSetsDefaultExchangeMode) {
-  ASSERT_EQ(::setenv("EPI_EXCHANGE", "event", 1), 0);
-  EXPECT_EQ(default_exchange_mode(), ExchangeMode::kEvent);
-  EXPECT_EQ(SimulationConfig{}.exchange, ExchangeMode::kEvent);
-  ASSERT_EQ(::setenv("EPI_EXCHANGE", "broadcast", 1), 0);
-  EXPECT_EQ(default_exchange_mode(), ExchangeMode::kBroadcast);
-  ASSERT_EQ(::unsetenv("EPI_EXCHANGE"), 0);
-  EXPECT_EQ(default_exchange_mode(), ExchangeMode::kGhostDelta);
-  // An explicit assignment always wins over the env default.
-  ASSERT_EQ(::setenv("EPI_EXCHANGE", "adaptive", 1), 0);
-  SimulationConfig config;
-  config.exchange = ExchangeMode::kBroadcast;
-  EXPECT_EQ(config.exchange, ExchangeMode::kBroadcast);
-  ASSERT_EQ(::unsetenv("EPI_EXCHANGE"), 0);
 }
 
 }  // namespace

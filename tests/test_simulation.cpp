@@ -10,7 +10,6 @@
 #include "epihiper/parallel.hpp"
 #include "synthpop/generator.hpp"
 #include "util/error.hpp"
-#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace epi {
@@ -333,108 +332,6 @@ TEST_P(ParallelEquivalence, TransitionsIdenticalToSerial) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, ParallelEquivalence,
                          ::testing::Values(2, 3, 5, 8));
 
-// --- Ghost-delta frontier vs legacy broadcast kernel ---------------------
-
-// Serial A/B: the frontier kernel must reproduce the legacy full-scan
-// kernel *byte for byte* — the exact transition sequence (order included),
-// not just the multiset. This is the RNG-ordering invariant the frontier
-// rewrite is built around.
-TEST(ExchangeMode, SerialFrontierMatchesBroadcastByteForByte) {
-  const DiseaseModel model = covid_model();
-  SimulationConfig ghost = base_config(60);
-  ghost.exchange = ExchangeMode::kGhostDelta;
-  SimulationConfig bcast = base_config(60);
-  bcast.exchange = ExchangeMode::kBroadcast;
-  const SimOutput a = run_simulation(test_region().network,
-                                     test_region().population, model, ghost);
-  const SimOutput b = run_simulation(test_region().network,
-                                     test_region().population, model, bcast);
-  ASSERT_EQ(a.transitions.size(), b.transitions.size());
-  for (std::size_t i = 0; i < a.transitions.size(); ++i) {
-    EXPECT_EQ(a.transitions[i].tick, b.transitions[i].tick) << "event " << i;
-    EXPECT_EQ(a.transitions[i].person, b.transitions[i].person)
-        << "event " << i;
-    EXPECT_EQ(a.transitions[i].exit_state, b.transitions[i].exit_state)
-        << "event " << i;
-    EXPECT_EQ(a.transitions[i].infector, b.transitions[i].infector)
-        << "event " << i;
-  }
-  EXPECT_EQ(a.new_infections_per_tick, b.new_infections_per_tick);
-  EXPECT_EQ(a.final_states, b.final_states);
-  EXPECT_EQ(a.total_infections, b.total_infections);
-  // Serial runs exchange nothing.
-  EXPECT_EQ(a.ghost_exchange_bytes, 0u);
-  EXPECT_EQ(b.ghost_exchange_bytes, 0u);
-  // The frontier evaluates strictly fewer edges than the full rescan once
-  // any tick has a susceptible person without infectious contacts.
-  std::uint64_t frontier_total = 0, rescan_total = 0;
-  for (const auto v : a.frontier_edges_per_tick) frontier_total += v;
-  for (const auto v : b.frontier_edges_per_tick) rescan_total += v;
-  EXPECT_LT(frontier_total, rescan_total);
-}
-
-// Parallel A/B on the same partitioning: identical epidemic, and the
-// ghost-delta halo moves strictly fewer bytes than broadcasting the full
-// infectious set every tick.
-TEST(ExchangeMode, GhostDeltaMovesFewerBytesThanBroadcast) {
-  const DiseaseModel model = covid_model();
-  const Partitioning parts = partition_network(test_region().network, 4);
-  SimulationConfig ghost = base_config(40);
-  ghost.exchange = ExchangeMode::kGhostDelta;
-  SimulationConfig bcast = base_config(40);
-  bcast.exchange = ExchangeMode::kBroadcast;
-  const SimOutput g =
-      run_simulation_parallel(test_region().network, test_region().population,
-                              model, ghost, parts, 4);
-  const SimOutput b =
-      run_simulation_parallel(test_region().network, test_region().population,
-                              model, bcast, parts, 4);
-  EXPECT_EQ(g.total_infections, b.total_infections);
-  EXPECT_EQ(g.final_states, b.final_states);
-  EXPECT_EQ(g.new_infections_per_tick, b.new_infections_per_tick);
-  EXPECT_GT(g.ghost_exchange_bytes, 0u);
-  EXPECT_EQ(b.ghost_exchange_bytes, 0u);
-  EXPECT_LT(g.ghost_exchange_bytes, b.communication_bytes);
-  EXPECT_LT(g.communication_bytes, b.communication_bytes);
-}
-
-// The partition-invariance property for the production (ghost) kernel,
-// rank sweep including 1: parallel output matches the serial broadcast
-// reference exactly.
-class GhostEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(GhostEquivalence, MatchesSerialBroadcast) {
-  const int ranks = GetParam();
-  const DiseaseModel model = covid_model();
-  SimulationConfig serial_config = base_config(40);
-  serial_config.exchange = ExchangeMode::kBroadcast;
-  SimulationConfig ghost_config = base_config(40);
-  ghost_config.exchange = ExchangeMode::kGhostDelta;
-  const SimOutput serial = run_simulation(
-      test_region().network, test_region().population, model, serial_config);
-  const Partitioning parts =
-      partition_network(test_region().network, static_cast<std::size_t>(ranks));
-  const SimOutput parallel =
-      run_simulation_parallel(test_region().network, test_region().population,
-                              model, ghost_config, parts, ranks);
-  EXPECT_EQ(parallel.total_infections, serial.total_infections);
-  EXPECT_EQ(parallel.new_infections_per_tick, serial.new_infections_per_tick);
-  EXPECT_EQ(parallel.final_states, serial.final_states);
-  ASSERT_EQ(parallel.transitions.size(), serial.transitions.size());
-  auto key = [](const TransitionEvent& e) {
-    return std::tuple(e.tick, e.person, e.exit_state, e.infector);
-  };
-  std::vector<std::tuple<Tick, PersonId, HealthStateId, PersonId>> s, p;
-  for (const auto& e : serial.transitions) s.push_back(key(e));
-  for (const auto& e : parallel.transitions) p.push_back(key(e));
-  std::sort(s.begin(), s.end());
-  std::sort(p.begin(), p.end());
-  EXPECT_EQ(s, p);
-}
-
-INSTANTIATE_TEST_SUITE_P(RankCounts, GhostEquivalence,
-                         ::testing::Values(1, 2, 4, 8));
-
 // --- Frontier hit ordering ------------------------------------------------
 
 std::vector<std::uint64_t> ordered(std::uint64_t span,
@@ -486,111 +383,8 @@ TEST(HitOrder, MatchesStdSort) {
   }
 }
 
-// --- Large-frontier equivalence ---------------------------------------------
-
-// VA at 1/400 (21,339 persons): an uncontrolled epidemic puts thousands of
-// hits on a rank on most ticks, so the hit ordering runs over many blocks.
-const SyntheticRegion& frontier_region() {
-  static const SyntheticRegion region = [] {
-    SynthPopConfig config;
-    config.region = "VA";
-    config.scale = 1.0 / 400.0;
-    return generate_region(config);
-  }();
-  return region;
-}
-
-SimulationConfig frontier_config(ExchangeMode mode) {
-  SimulationConfig config;
-  config.num_ticks = 120;
-  config.seed = 42;
-  config.seeds = {SeedSpec{0, 5, 0}, SeedSpec{1, 5, 0}, SeedSpec{2, 5, 0}};
-  config.exchange = mode;
-  return config;
-}
-
-/// Transitions as a sorted set, final states and incidence; the parallel
-/// merge orders a tick's transitions by person, the serial log does not.
-std::string epidemic_digest(const SimOutput& out) {
-  std::vector<TransitionEvent> events = out.transitions;
-  std::sort(events.begin(), events.end(),
-            [](const TransitionEvent& a, const TransitionEvent& b) {
-              return std::tie(a.tick, a.person, a.exit_state, a.infector) <
-                     std::tie(b.tick, b.person, b.exit_state, b.infector);
-            });
-  std::string bytes;
-  for (const TransitionEvent& e : events) {
-    bytes.append(reinterpret_cast<const char*>(&e.tick), sizeof(e.tick));
-    bytes.append(reinterpret_cast<const char*>(&e.person), sizeof(e.person));
-    bytes.append(reinterpret_cast<const char*>(&e.exit_state),
-                 sizeof(e.exit_state));
-    bytes.append(reinterpret_cast<const char*>(&e.infector),
-                 sizeof(e.infector));
-  }
-  bytes.append(reinterpret_cast<const char*>(out.final_states.data()),
-               out.final_states.size() * sizeof(HealthStateId));
-  const auto& incidence = out.new_infections_per_tick;
-  bytes.append(reinterpret_cast<const char*>(incidence.data()),
-               incidence.size() * sizeof(std::uint64_t));
-  return to_hex(hash128(bytes));
-}
-
-/// The serial broadcast replicate: the rescan kernel never orders hits.
-const SimOutput& frontier_reference() {
-  static const SimOutput output =
-      run_simulation(frontier_region().network, frontier_region().population,
-                     covid_model(), frontier_config(ExchangeMode::kBroadcast));
-  return output;
-}
-
-TEST(ParallelFrontier, SerialKernelsMatchPinnedDigest) {
-  const SimOutput& reference = frontier_reference();
-  // Recorded with the kernel that sorted its hits with std::sort.
-  EXPECT_EQ(epidemic_digest(reference), "d118ead53f1ad544d866b774e978ffdd");
-  EXPECT_EQ(reference.total_infections, 14983u);
-  for (const ExchangeMode mode :
-       {ExchangeMode::kGhostDelta, ExchangeMode::kEvent}) {
-    const SimOutput out =
-        run_simulation(frontier_region().network, frontier_region().population,
-                       covid_model(), frontier_config(mode));
-    ASSERT_EQ(out.transitions.size(), reference.transitions.size());
-    for (std::size_t i = 0; i < out.transitions.size(); ++i) {
-      const TransitionEvent& a = out.transitions[i];
-      const TransitionEvent& b = reference.transitions[i];
-      ASSERT_EQ(std::tie(a.tick, a.person, a.exit_state, a.infector),
-                std::tie(b.tick, b.person, b.exit_state, b.infector))
-          << exchange_mode_name(mode) << " event " << i;
-    }
-    EXPECT_EQ(out.final_states, reference.final_states);
-    EXPECT_EQ(out.new_infections_per_tick, reference.new_infections_per_tick);
-    const auto busy = std::count_if(
-        out.frontier_edges_per_tick.begin(), out.frontier_edges_per_tick.end(),
-        [](std::uint64_t hits) { return hits >= 2000; });
-    EXPECT_GT(busy, 60) << exchange_mode_name(mode);
-  }
-}
-
-class ParallelFrontierRanks
-    : public ::testing::TestWithParam<std::tuple<int, ExchangeMode>> {};
-
-TEST_P(ParallelFrontierRanks, MatchesSerialBroadcast) {
-  const auto [ranks, mode] = GetParam();
-  const Partitioning parts = partition_network(
-      frontier_region().network, static_cast<std::size_t>(ranks));
-  const SimOutput out = run_simulation_parallel(
-      frontier_region().network, frontier_region().population, covid_model(),
-      frontier_config(mode), parts, ranks);
-  EXPECT_EQ(epidemic_digest(out), epidemic_digest(frontier_reference()));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RanksAndModes, ParallelFrontierRanks,
-    ::testing::Combine(::testing::Values(2, 4, 8),
-                       ::testing::Values(ExchangeMode::kGhostDelta,
-                                         ExchangeMode::kEvent)));
-
 TEST(Simulation, RefusesRankEdgeRangeBeyond32Bits) {
-  // A forged one-part partitioning claiming 2^32 in-edges: the frontier
+  // A forged one-part partitioning claiming 2^32 in-edges: the push
   // kernel's packed hits cannot address them, so construction refuses.
   const Partitioning forged({Partition{0, test_region().network.node_count(),
                                        0, EdgeIndex{1} << 32}});
