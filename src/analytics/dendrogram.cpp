@@ -1,6 +1,7 @@
 #include "analytics/dendrogram.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -8,35 +9,55 @@ namespace epi {
 
 TransmissionForest::TransmissionForest(
     const std::vector<TransitionEvent>& transitions) {
+  std::size_t persons = 0;
+  for (const TransitionEvent& event : transitions) {
+    persons = std::max<std::size_t>(persons, event.person + std::size_t{1});
+    if (event.infector != kNoPerson) {
+      persons = std::max<std::size_t>(persons, event.infector + std::size_t{1});
+    }
+  }
+  infected_at_.assign(persons, -1);
+  child_begin_.assign(persons + 1, 0);
+  std::vector<std::pair<PersonId, PersonId>> edges;  // (infector, person)
   for (const TransitionEvent& event : transitions) {
     last_tick_ = std::max(last_tick_, event.tick);
     // An infection event is the first transition of a person caused by a
     // contact, or a seeded exposure (no infector). Later transitions of
     // the same person are within-host progressions.
-    if (infected_at_.count(event.person) != 0) continue;
+    if (infected_at_[event.person] != -1) continue;
     if (event.infector != kNoPerson) {
       infected_at_[event.person] = event.tick;
-      infection_order_.emplace_back(event.person, event.tick);
-      children_[event.infector].push_back(event.person);
-      ++edges_;
+      infection_order_.push_back(event.person);
+      edges.emplace_back(event.infector, event.person);
+      ++child_begin_[event.infector + std::size_t{1}];
     } else if (event.exit_state != kNoState) {
       // A seed: treat the first causeless transition as the root infection
       // if the person is never attributed to an infector.
       infected_at_[event.person] = event.tick;
-      infection_order_.emplace_back(event.person, event.tick);
+      infection_order_.push_back(event.person);
       roots_.push_back(event.person);
     }
   }
+  edges_ = edges.size();
+  // Counting scatter in log order, so every child list keeps it.
+  for (std::size_t p = 0; p < persons; ++p) {
+    child_begin_[p + 1] += child_begin_[p];
+  }
+  child_list_.resize(edges_);
+  std::vector<std::size_t> next(child_begin_.begin(), child_begin_.end() - 1);
+  for (const auto& [infector, person] : edges) {
+    child_list_[next[infector]++] = person;
+  }
 }
 
-const std::vector<PersonId>& TransmissionForest::children(PersonId p) const {
-  const auto it = children_.find(p);
-  return it == children_.end() ? empty_ : it->second;
+std::span<const PersonId> TransmissionForest::children(PersonId p) const {
+  if (p >= infected_at_.size()) return {};
+  return std::span<const PersonId>(child_list_)
+      .subspan(child_begin_[p], child_begin_[p + 1] - child_begin_[p]);
 }
 
 Tick TransmissionForest::infection_tick(PersonId p) const {
-  const auto it = infected_at_.find(p);
-  return it == infected_at_.end() ? -1 : it->second;
+  return p < infected_at_.size() ? infected_at_[p] : -1;
 }
 
 std::size_t TransmissionForest::tree_size(PersonId root) const {
@@ -66,12 +87,10 @@ std::size_t TransmissionForest::tree_depth(PersonId root) const {
 double TransmissionForest::mean_offspring(Tick horizon) const {
   // Only count persons infected early enough that their offspring are
   // fully observed; otherwise right-censoring biases the estimate down.
-  // Iterates the log-ordered vector, not the unordered index, so the
-  // traversal (and any future per-person output) is deterministic.
   std::size_t eligible = 0;
   std::size_t offspring = 0;
-  for (const auto& [person, tick] : infection_order_) {
-    if (tick + horizon > last_tick_) continue;
+  for (const PersonId person : infection_order_) {
+    if (infected_at_[person] + horizon > last_tick_) continue;
     ++eligible;
     offspring += children(person).size();
   }

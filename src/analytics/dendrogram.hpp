@@ -6,8 +6,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "epihiper/simulation.hpp"
@@ -25,7 +24,8 @@ class TransmissionForest {
   std::size_t tree_count() const { return roots_.size(); }
   std::size_t infection_count() const { return edges_; }
   const std::vector<PersonId>& roots() const { return roots_; }
-  const std::vector<PersonId>& children(PersonId p) const;
+  /// Persons `p` infected, in log order (empty for ids outside the log).
+  std::span<const PersonId> children(PersonId p) const;
   /// Tick at which `p` was infected (or -1 if never infected).
   Tick infection_tick(PersonId p) const;
 
@@ -44,18 +44,16 @@ class TransmissionForest {
   std::uint64_t byte_size() const;
 
  private:
-  // The unordered maps are lookup indexes only and are never iterated:
-  // hash order is nondeterministic across runs/platforms, so any output
-  // derived from iterating them would break replicate reproducibility
-  // (the determinism lint enforces this). Iteration happens over
-  // infection_order_, which preserves the deterministic log order.
-  std::unordered_map<PersonId, std::vector<PersonId>> children_;
-  std::unordered_map<PersonId, Tick> infected_at_;
-  std::vector<std::pair<PersonId, Tick>> infection_order_;
+  // Person-indexed, sized to the largest id in the log + 1: the first
+  // infection tick (-1 = never) and a CSR over infectors whose child
+  // lists keep log order.
+  std::vector<Tick> infected_at_;
+  std::vector<std::size_t> child_begin_;
+  std::vector<PersonId> child_list_;
+  std::vector<PersonId> infection_order_;  // first infections, log order
   std::vector<PersonId> roots_;
   std::size_t edges_ = 0;
   Tick last_tick_ = 0;
-  std::vector<PersonId> empty_;
 };
 
 }  // namespace epi

@@ -61,7 +61,7 @@ void PartialReopening::apply(Simulation& sim) {
       // Key on the unordered pair so both directions of a contact agree.
       const PersonId lo = std::min(p, c.source);
       const PersonId hi = std::max(p, c.source);
-      Rng edge_rng = Rng(sim.config().seed).derive({kRoCoin, lo, hi});
+      Rng edge_rng(mix_labels(sim.config().seed, {kRoCoin, lo, hi}));
       sim.set_edge_active(e, edge_rng.bernoulli(config_.level));
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <type_traits>
 
@@ -110,6 +111,10 @@ SimOutput deserialize_sim_output(const std::vector<std::byte>& blob) {
   return out;
 }
 
+bool tick_then_person(const TransitionEvent& a, const TransitionEvent& b) {
+  return a.tick < b.tick || (a.tick == b.tick && a.person < b.person);
+}
+
 }  // namespace
 
 SimOutput run_simulation(const ContactNetwork& network,
@@ -164,6 +169,12 @@ SimOutput run_simulation_parallel(const ContactNetwork& network,
       }
     }
     SimOutput out = sim.run();
+    // (tick, person) is not unique: a person seeded or infected in a tick
+    // can be moved on by an intervention in the same tick. The rank logs
+    // in processing order and owns its persons outright, so a stable sort
+    // keeps each person's same-tick transitions in the serial order.
+    std::stable_sort(out.transitions.begin(), out.transitions.end(),
+                     tick_then_person);
     if (comm.backend() == mpilite::BackendKind::kShm) {
       // Gather to rank 0, whose body runs on this (launching) thread so
       // its per_rank writes survive the forked ranks' exit. The gather
@@ -201,8 +212,6 @@ SimOutput run_simulation_parallel(const ContactNetwork& network,
       merged.seconds_per_tick[t] =
           std::max(merged.seconds_per_tick[t], out.seconds_per_tick[t]);
     }
-    merged.transitions.insert(merged.transitions.end(),
-                              out.transitions.begin(), out.transitions.end());
     merged.final_states.insert(merged.final_states.end(),
                                out.final_states.begin(),
                                out.final_states.end());
@@ -225,15 +234,30 @@ SimOutput run_simulation_parallel(const ContactNetwork& network,
         std::max(merged.broadcast_ticks, out.broadcast_ticks);
     merged.ghost_ticks = std::max(merged.ghost_ticks, out.ghost_ticks);
   }
-  // (tick, person) is not unique: a person seeded or infected in a tick
-  // can be moved on by an intervention in the same tick. Each rank logs in
-  // processing order and owns its persons outright, so a stable sort
-  // keeps each person's same-tick transitions in the serial order.
-  std::stable_sort(merged.transitions.begin(), merged.transitions.end(),
-                   [](const TransitionEvent& a, const TransitionEvent& b) {
-                     return a.tick < b.tick ||
-                            (a.tick == b.tick && a.person < b.person);
-                   });
+  // Each rank's log is sorted by (tick, person) and the parts tile the
+  // person range in ascending rank order, so each tick's runs joined in
+  // rank order are that tick's slice of the log stable-sorted by (tick,
+  // person) — the serial order of every person's same-tick transitions.
+  std::vector<std::span<const TransitionEvent>> logs;
+  std::size_t events = 0;
+  for (const SimOutput& out : per_rank) {
+    logs.emplace_back(out.transitions);
+    events += out.transitions.size();
+  }
+  merged.transitions.reserve(events);
+  while (merged.transitions.size() < events) {
+    Tick tick = std::numeric_limits<Tick>::max();
+    for (const auto& log : logs) {
+      if (!log.empty()) tick = std::min(tick, log.front().tick);
+    }
+    for (auto& log : logs) {
+      std::size_t run = 0;
+      while (run < log.size() && log[run].tick == tick) ++run;
+      merged.transitions.insert(merged.transitions.end(), log.begin(),
+                                log.begin() + static_cast<std::ptrdiff_t>(run));
+      log = log.subspan(run);
+    }
+  }
   return merged;
 }
 

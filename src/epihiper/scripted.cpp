@@ -374,8 +374,7 @@ void ScriptedIntervention::execute_block(const ActionBlock& block,
             const PersonId src = sim.network().contact(e).source;
             const PersonId lo = std::min(p, src);
             const PersonId hi = std::max(p, src);
-            Rng edge_rng =
-                Rng(sim.config().seed).derive({sampling_key, lo, hi});
+            Rng edge_rng(mix_labels(sim.config().seed, {sampling_key, lo, hi}));
             sampled = edge_rng.bernoulli(block.sample_fraction);
           }
           if (sampled) {

@@ -192,15 +192,20 @@ void Simulation::add_intervention(std::shared_ptr<Intervention> intervention) {
   interventions_.push_back(std::move(intervention));
 }
 
-Rng Simulation::person_rng(PersonId p) const {
-  return Rng(config_.seed)
-      .derive({config_.replicate, p, static_cast<std::uint64_t>(tick_)});
+// Rng::derive keys a child on its parent's seed alone, so the nested
+// mix_labels below are the chained derives of Rng(config_.seed) without
+// constructing the generators in between.
+Rng Simulation::person_rng(PersonId p, std::uint64_t purpose) const {
+  return Rng(mix_labels(
+      mix_labels(config_.seed,
+                 {config_.replicate, p, static_cast<std::uint64_t>(tick_)}),
+      {purpose}));
 }
 
 bool Simulation::person_coin(PersonId p, std::uint64_t purpose,
                              double probability) const {
-  Rng rng =
-      Rng(config_.seed).derive({kPurposeCoin, config_.replicate, p, purpose});
+  Rng rng(mix_labels(config_.seed,
+                     {kPurposeCoin, config_.replicate, p, purpose}));
   return rng.bernoulli(probability);
 }
 
@@ -438,7 +443,7 @@ void Simulation::transition_person(PersonId p, HealthStateId new_state,
     ++output_.new_infections_per_tick.back();
   }
   // Schedule the within-host progression out of the new state.
-  Rng rng = person_rng(p).derive({kPurposeProgression});
+  Rng rng = person_rng(p, kPurposeProgression);
   HealthStateId next = kNoState;
   Tick dwell = 0;
   if (model_.sample_progression(new_state, population_.age_group(p), rng,
@@ -579,7 +584,7 @@ void Simulation::finish_candidate(PersonId p, double rate_sum) {
   if (rate <= 0.0) return;
   // Gillespie: exponential waiting time against the one-tick interval;
   // the causing contact is drawn proportionally to its propensity.
-  Rng rng = person_rng(p).derive({kPurposeTransmission});
+  Rng rng = person_rng(p, kPurposeTransmission);
   if (rng.exponential(rate) >= 1.0) return;
   const std::uint32_t slot = candidate_slots_[rng.discrete(candidate_rho_)];
   const HealthStateId to =

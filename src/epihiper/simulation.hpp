@@ -332,7 +332,9 @@ class Simulation {
   /// for the next tick's kernel choice and returns the earliest bid.
   Tick agree_next_tick();
   void transition_person(PersonId p, HealthStateId new_state, PersonId cause);
-  Rng person_rng(PersonId p) const;
+  /// The (person, tick) stream for one purpose: Rng(seed).derive({replicate,
+  /// p, tick}).derive({purpose}).
+  Rng person_rng(PersonId p, std::uint64_t purpose) const;
   InfectiousInfo infectious_record(PersonId p) const;
   /// Gillespie draw for one susceptible target after its candidates
   /// (candidate_rho_/candidate_slots_, in ascending EdgeIndex order) have

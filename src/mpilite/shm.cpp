@@ -13,11 +13,14 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <filesystem>
 #include <sstream>
+#include <thread>
 
 #include "mpilite/hub.hpp"
 #include "obs/metrics.hpp"
@@ -766,11 +769,52 @@ constexpr std::uint8_t kChildCheckError = 3;
   ::_exit(0);
 }
 
+/// Threads of this process, counted in /proc/self/task.
+std::size_t process_thread_count() {
+  std::error_code ec;
+  std::size_t count = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++count;
+  }
+  return count;
+}
+
+// ThreadSanitizer's runtime starts a background thread of its own with
+// the first thread the program creates, and makes its own locks safe
+// across fork, so that one thread is not counted against the program.
+#if defined(__SANITIZE_THREAD__)
+constexpr std::size_t kRuntimeThreads = 1;
+#else
+constexpr std::size_t kRuntimeThreads = 0;
+#endif
+
+/// Refuses to fork a multithreaded process (DESIGN.md §15): a child
+/// inherits only the calling thread, and a lock another thread held
+/// (malloc's included) deadlocks it. A thread joined just before the
+/// launch can stay listed while the kernel reaps it, so the count is
+/// re-read for up to ~100 ms before failing.
+void require_single_threaded() {
+  constexpr std::size_t kAllowed = 1 + kRuntimeThreads;
+  std::size_t threads = process_thread_count();
+  for (int retry = 0; threads > kAllowed && retry < 50; ++retry) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    threads = process_thread_count();
+  }
+  EPI_REQUIRE(threads <= kAllowed,
+              "mpilite shm backend: the process has "
+                  << threads
+                  << " threads, and forking it could deadlock a rank on a "
+                     "lock held by a thread that is not forked; join farm "
+                     "workers (EPI_JOBS) and other threads first");
+}
+
 }  // namespace
 
 std::vector<CheckReport> Runtime::run_shm_impl(
     int num_ranks, const std::function<void(Comm&)>& body,
     const CheckOptions* check_options, const ObsHooks& obs) {
+  if (num_ranks > 1) require_single_threaded();
   auto hub = std::make_shared<Hub>(num_ranks);
   hub->obs = obs;
   hub->shm = std::make_unique<detail::ShmBackend>(num_ranks);

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "analytics/aggregate.hpp"
 #include "analytics/costs.hpp"
@@ -258,6 +262,173 @@ TEST(Dendrogram, EmptyLogYieldsEmptyForest) {
   EXPECT_EQ(forest.tree_count(), 0u);
   EXPECT_EQ(forest.infection_count(), 0u);
   EXPECT_EQ(forest.infection_tick(42), -1);
+}
+
+// The forest as it was built before the flat arrays: hash maps keyed by
+// person, kept here as the reference the flat forest must reproduce.
+class HashMapForest {
+ public:
+  explicit HashMapForest(const std::vector<TransitionEvent>& transitions) {
+    for (const TransitionEvent& event : transitions) {
+      last_tick_ = std::max(last_tick_, event.tick);
+      if (infected_at_.count(event.person) != 0) continue;
+      if (event.infector != kNoPerson) {
+        infected_at_[event.person] = event.tick;
+        infection_order_.emplace_back(event.person, event.tick);
+        children_[event.infector].push_back(event.person);
+        ++edges_;
+      } else if (event.exit_state != kNoState) {
+        infected_at_[event.person] = event.tick;
+        infection_order_.emplace_back(event.person, event.tick);
+        roots_.push_back(event.person);
+      }
+    }
+  }
+
+  std::size_t tree_count() const { return roots_.size(); }
+  std::size_t infection_count() const { return edges_; }
+  const std::vector<PersonId>& roots() const { return roots_; }
+  std::vector<PersonId> children(PersonId p) const {
+    const auto it = children_.find(p);
+    return it == children_.end() ? std::vector<PersonId>{} : it->second;
+  }
+  Tick infection_tick(PersonId p) const {
+    const auto it = infected_at_.find(p);
+    return it == infected_at_.end() ? -1 : it->second;
+  }
+  std::size_t tree_size(PersonId root) const {
+    std::size_t size = 0;
+    std::vector<PersonId> stack = {root};
+    while (!stack.empty()) {
+      const PersonId node = stack.back();
+      stack.pop_back();
+      ++size;
+      for (PersonId child : children(node)) stack.push_back(child);
+    }
+    return size;
+  }
+  std::size_t tree_depth(PersonId root) const {
+    std::size_t max_depth = 0;
+    std::vector<std::pair<PersonId, std::size_t>> stack = {{root, 0}};
+    while (!stack.empty()) {
+      const auto [node, depth] = stack.back();
+      stack.pop_back();
+      max_depth = std::max(max_depth, depth);
+      for (PersonId child : children(node)) {
+        stack.emplace_back(child, depth + 1);
+      }
+    }
+    return max_depth;
+  }
+  double mean_offspring(Tick horizon) const {
+    std::size_t eligible = 0;
+    std::size_t offspring = 0;
+    for (const auto& [person, tick] : infection_order_) {
+      if (tick + horizon > last_tick_) continue;
+      ++eligible;
+      offspring += children(person).size();
+    }
+    if (eligible == 0) return 0.0;
+    return static_cast<double>(offspring) / static_cast<double>(eligible);
+  }
+  std::uint64_t byte_size() const { return (edges_ + roots_.size()) * 24; }
+
+ private:
+  std::unordered_map<PersonId, std::vector<PersonId>> children_;
+  std::unordered_map<PersonId, Tick> infected_at_;
+  std::vector<std::pair<PersonId, Tick>> infection_order_;
+  std::vector<PersonId> roots_;
+  std::size_t edges_ = 0;
+  Tick last_tick_ = 0;
+};
+
+// Every accessor of the flat forest against the reference, over every id
+// up to the log's largest (person or infector) + 2.
+void expect_matches_reference(const std::vector<TransitionEvent>& log) {
+  const TransmissionForest forest(log);
+  const HashMapForest reference(log);
+  EXPECT_EQ(forest.roots(), reference.roots());
+  EXPECT_EQ(forest.tree_count(), reference.tree_count());
+  EXPECT_EQ(forest.infection_count(), reference.infection_count());
+  EXPECT_EQ(forest.byte_size(), reference.byte_size());
+  PersonId largest = 0;
+  Tick last_tick = 0;
+  for (const TransitionEvent& e : log) {
+    largest = std::max(largest, e.person);
+    if (e.infector != kNoPerson) largest = std::max(largest, e.infector);
+    last_tick = std::max(last_tick, e.tick);
+  }
+  for (PersonId p = 0; p <= largest + 2; ++p) {
+    const auto children = forest.children(p);
+    ASSERT_EQ(std::vector<PersonId>(children.begin(), children.end()),
+              reference.children(p))
+        << "person " << p;
+    ASSERT_EQ(forest.infection_tick(p), reference.infection_tick(p))
+        << "person " << p;
+  }
+  EXPECT_TRUE(forest.children(kNoPerson).empty());
+  EXPECT_EQ(forest.infection_tick(kNoPerson), -1);
+  for (PersonId root : reference.roots()) {
+    EXPECT_EQ(forest.tree_size(root), reference.tree_size(root));
+    EXPECT_EQ(forest.tree_depth(root), reference.tree_depth(root));
+  }
+  for (Tick horizon : {Tick{0}, Tick{7}, Tick{21}, last_tick + 1}) {
+    EXPECT_EQ(forest.mean_offspring(horizon), reference.mean_offspring(horizon))
+        << "horizon " << horizon;
+  }
+}
+
+TEST(Dendrogram, MatchesHashMapReferenceOnFixture) {
+  const auto& f = fixture();
+  ASSERT_GT(TransmissionForest(f.output.transitions).infection_count(), 100u);
+  expect_matches_reference(f.output.transitions);
+}
+
+TEST(Dendrogram, MatchesHashMapReferenceOnFourRankReplicate) {
+  SynthPopConfig pop_config;
+  pop_config.region = "VA";
+  pop_config.scale = 1.0 / 400.0;
+  const SyntheticRegion region = generate_region(pop_config);
+  SimulationConfig config;
+  config.num_ticks = 120;
+  config.seed = 42;
+  config.seeds = {SeedSpec{0, 5, 0}, SeedSpec{1, 5, 0}, SeedSpec{2, 5, 0}};
+  const SimOutput out = run_simulation_parallel(
+      region.network, region.population, covid_model(), config,
+      partition_network(region.network, 4), 4);
+  ASSERT_GT(out.total_infections, 1000u);
+  expect_matches_reference(out.transitions);
+}
+
+TEST(Dendrogram, MatchesHashMapReferenceOnHandBuiltLogs) {
+  constexpr HealthStateId kE = 1, kI = 2, kR = 3;
+  // Person 3 is seeded; 10 and 7 are its children, out of id order. 10
+  // recovers and is infected again (RX failure): only the first counts.
+  // 20's first event has no infector, so a later infection of 20 is not
+  // an edge; 25's first event has neither infector nor state, so its
+  // later infection is. Infector 2000 never appears as a person, and the
+  // ids leave gaps.
+  const std::vector<TransitionEvent> log = {
+      {0, 3, kE, kNoPerson},       {2, 10, kE, 3},
+      {2, 7, kE, 3},               {3, 3, kI, kNoPerson},
+      {4, 20, kE, kNoPerson},      {4, 25, kNoState, kNoPerson},
+      {5, 20, kE, 3},              {6, 25, kE, 10},
+      {6, 10, kR, kNoPerson},      {8, 5, kE, 2000},
+      {9, 10, kE, 7},              {9, 1000, kE, 25},
+      {12, 1000, kI, kNoPerson}};
+  expect_matches_reference(log);
+  const TransmissionForest forest(log);
+  EXPECT_EQ(forest.roots(), (std::vector<PersonId>{3, 20}));
+  EXPECT_EQ(forest.infection_tick(10), 2);
+  EXPECT_EQ(forest.infection_tick(25), 6);
+  ASSERT_EQ(forest.children(3).size(), 2u);
+  EXPECT_EQ(forest.children(3)[0], 10u);
+  EXPECT_EQ(forest.children(3)[1], 7u);
+  EXPECT_EQ(forest.tree_depth(3), 3u);  // 3 -> 10 -> 25 -> 1000
+
+  // A log that is only a causeless first event, and the empty log.
+  expect_matches_reference({{0, 4, kE, kNoPerson}});
+  expect_matches_reference({});
 }
 
 // ------------------------------------------------------------- ensemble ---

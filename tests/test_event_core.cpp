@@ -1,7 +1,7 @@
 // The transmission engine end to end: a serial oracle pinned while four
 // exchange modes still existed and agreed on it, serial/parallel
-// equivalence at 1/2/4/8 ranks, the parallel merge order, progression
-// accounting, and quiescence tick skipping.
+// equivalence at 1/2/4/8 ranks, the parallel merge order and the whole
+// merged log, progression accounting, and quiescence tick skipping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -189,10 +189,15 @@ TEST(EventCore, SerialAdaptiveMatchesBothFixedModesUnderInterventions) {
   EXPECT_EQ(mild.broadcast_ticks, 0u);
 }
 
-TEST(ParallelFrontier, SerialKernelsMatchPinnedDigest) {
-  const SimOutput out =
+const SimOutput& frontier_serial() {
+  static const SimOutput out =
       run_simulation(frontier_region().network, frontier_region().population,
                      covid_model(), frontier_config());
+  return out;
+}
+
+TEST(ParallelFrontier, SerialKernelsMatchPinnedDigest) {
+  const SimOutput& out = frontier_serial();
   expect_pinned(out, kVaFrontier, true);
   EXPECT_GT(out.broadcast_ticks, 0u);
   EXPECT_GT(out.ghost_ticks, 0u);
@@ -206,6 +211,31 @@ TEST(EventCore, SameSeedSameEventOrderAcrossRuns) {
   EXPECT_EQ(a.events_fired, b.events_fired);
   EXPECT_EQ(a.events_stale, b.events_stale);
   EXPECT_EQ(a.ticks_skipped, b.ticks_skipped);
+}
+
+/// The whole merged log, not just its set or per-person sequences: at any
+/// rank count it must be the serial log stable-sorted by (tick, person).
+/// Compared field by field, since TransitionEvent has padding bytes.
+void expect_merged_serial_log(const SimOutput& parallel,
+                              const SimOutput& serial) {
+  std::vector<TransitionEvent> expected = serial.transitions;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const TransitionEvent& a, const TransitionEvent& b) {
+                     return std::tie(a.tick, a.person) <
+                            std::tie(b.tick, b.person);
+                   });
+  const std::vector<TransitionEvent>& merged = parallel.transitions;
+  ASSERT_EQ(merged.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const TransitionEvent& a = merged[i];
+    const TransitionEvent& b = expected[i];
+    ASSERT_TRUE(a.tick == b.tick && a.person == b.person &&
+                a.exit_state == b.exit_state && a.infector == b.infector)
+        << "event " << i << ": merged (" << a.tick << ", " << a.person
+        << ", " << a.exit_state << ", " << a.infector << "), expected ("
+        << b.tick << ", " << b.person << ", " << b.exit_state << ", "
+        << b.infector << ")";
+  }
 }
 
 // --- Serial vs parallel (each suite compares 1/2/4/8 ranks with the pin
@@ -298,10 +328,11 @@ TEST_P(ParallelFrontierRanks, MatchesSerialBroadcast) {
                   .part(0)
                   .node_end);
   }
-  expect_pinned(run_simulation_parallel(network, frontier_region().population,
-                                        covid_model(), frontier_config(),
-                                        parts, ranks),
-                kVaFrontier, false);
+  const SimOutput out =
+      run_simulation_parallel(network, frontier_region().population,
+                              covid_model(), frontier_config(), parts, ranks);
+  expect_pinned(out, kVaFrontier, false);
+  expect_merged_serial_log(out, frontier_serial());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -363,6 +394,7 @@ TEST_P(ParallelMergeOrder, SameTickTransitionsKeepSerialOrder) {
                    covid_model(), expose_through());
   EXPECT_EQ(tick_sequences(parallel), expected);
   EXPECT_EQ(parallel.final_states, serial.final_states);
+  expect_merged_serial_log(parallel, serial);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, ParallelMergeOrder,

@@ -3,7 +3,8 @@
 // randomized-interleaving FIFO stress (satellite of the cross-process
 // correctness work), the CommChecker detecting seeded violations across
 // process boundaries, 64-bit traffic accounting, back-to-back Runtime
-// reuse, and child-state merging (metrics, flow edges, exceptions).
+// reuse, the refusal to fork a threaded parent, and child-state merging
+// (metrics, flow edges, exceptions).
 //
 // Rank bodies assert by throwing (see test_mpilite.cpp): under the shm
 // backend every rank above 0 is a forked process, where a gtest EXPECT_*
@@ -15,16 +16,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -425,6 +430,52 @@ TEST(MpiliteShm, BackToBackRuntimesAreIndependentAndIdentical) {
     expect_bytes_equal(run_gathered(4, body), thread_digest,
                        "thread repeat");
   }
+}
+
+// ---------------------------------------------------- threaded parent ---
+
+TEST(MpiliteShm, RefusesToForkAThreadedParent) {
+  // A forked rank inherits only the launching thread, so a lock held by
+  // any other thread could deadlock it (DESIGN.md §15): the launcher
+  // refuses while a second thread is alive, naming the count, and the
+  // same run goes ahead once that thread is joined.
+  BackendGuard shm("shm");
+  const auto body = [](Comm& comm) { comm.barrier(); };
+  std::mutex mutex;
+  std::condition_variable wake;
+  bool release = false;
+  std::thread parked([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    wake.wait(lock, [&] { return release; });
+  });
+  // Counted here rather than assumed to be 2: a sanitizer runtime may
+  // add a thread of its own.
+  std::size_t threads = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++threads;
+  }
+  try {
+    Runtime::run(2, body);
+    ADD_FAILURE() << "a shm run beside a live thread must throw";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("the process has " + std::to_string(threads) +
+                        " threads"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("join farm workers"), std::string::npos) << what;
+  } catch (...) {
+    ADD_FAILURE() << "the refusal must be an epi::Error";
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  wake.notify_one();
+  parked.join();
+  EXPECT_NO_THROW(Runtime::run(2, body));
 }
 
 // ------------------------------------------------ 64-bit traffic sizes ---
