@@ -15,8 +15,8 @@
 #   ./ci.sh service    # scenario-service replay determinism: the canned
 #                      # request log twice, and EPI_JOBS=1 vs 4, with
 #                      # byte-diffs of responses + report; throughput gate
-#   ./ci.sh obs        # epitrace pass: traced nightly run -> trace_check
-#                      # -> epitrace self-checks; traced-vs-untraced
+#   ./ci.sh obs        # epitrace pass: traced nightly run -> epitrace
+#                      # check -> epitrace self-checks; traced-vs-untraced
 #                      # byte-identity; fig9/table1/comm-volume/fig7 bench
 #                      # reports diffed against bench/baselines/ (clean
 #                      # must pass, an injected 10%+ regression must be
@@ -61,7 +61,7 @@ run_plain() {
 
   echo "== trace pass (EPI_TRACE) =="
   # Run the nightly example twice with tracing on and deterministic
-  # timing, validate both trace/metrics pairs with trace_check, and
+  # timing, validate both trace/metrics pairs with epitrace check, and
   # require the two runs to be byte-identical — the reproducibility
   # guarantee the obs layer promises.
   rm -rf build/trace-ci build/trace-ci-2
@@ -69,8 +69,8 @@ run_plain() {
     ./build/examples/nightly_national_run economic >/dev/null
   EPI_TRACE=build/trace-ci-2 EPI_DETERMINISTIC_TIMING=1 \
     ./build/examples/nightly_national_run economic >/dev/null
-  ./build/tools/trace_check build/trace-ci/trace.json build/trace-ci/metrics.json
-  ./build/tools/trace_check build/trace-ci-2/trace.json build/trace-ci-2/metrics.json
+  ./build/tools/epitrace check build/trace-ci/trace.json build/trace-ci/metrics.json
+  ./build/tools/epitrace check build/trace-ci-2/trace.json build/trace-ci-2/metrics.json
   cmp build/trace-ci/trace.json build/trace-ci-2/trace.json
   cmp build/trace-ci/metrics.json build/trace-ci-2/metrics.json
   echo "trace pass OK (valid + byte-identical across runs)"
@@ -157,7 +157,7 @@ run_proc() {
   EPI_TRACE=build/proc-ci/trace-shm EPI_MPILITE_BACKEND=shm \
     EPI_DETERMINISTIC_TIMING=1 \
     ./build/examples/nightly_national_run economic >/dev/null
-  ./build/tools/trace_check build/proc-ci/trace-shm/trace.json \
+  ./build/tools/epitrace check build/proc-ci/trace-shm/trace.json \
     build/proc-ci/trace-shm/metrics.json
   echo "proc pass OK (forked ranks byte-identical to threads)"
 }
@@ -193,8 +193,8 @@ run_service() {
 run_obs() {
   echo "== observability pass (epitrace) =="
   cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target nightly_national_run trace_check \
-    epitrace bench_fig9_utilization bench_table1_workflows \
+  cmake --build build -j "$JOBS" --target nightly_national_run epitrace \
+    bench_fig9_utilization bench_table1_workflows \
     bench_comm_volume bench_fig7_runtime
 
   # A traced deterministic nightly run (the fig9 workload): validate the
@@ -204,7 +204,7 @@ run_obs() {
   rm -rf build/obs-ci && mkdir -p build/obs-ci
   EPI_TRACE=build/obs-ci/run EPI_DETERMINISTIC_TIMING=1 \
     ./build/examples/nightly_national_run economic > build/obs-ci/report-traced.txt
-  ./build/tools/trace_check build/obs-ci/run/trace.json build/obs-ci/run/metrics.json
+  ./build/tools/epitrace check build/obs-ci/run/trace.json build/obs-ci/run/metrics.json
   ./build/tools/epitrace report build/obs-ci/run --check > build/obs-ci/epitrace-report.txt
   echo "epitrace report OK (critical path + busy-vs-utilization self-checks)"
 
@@ -240,6 +240,17 @@ run_obs() {
     exit 1
   fi
   echo "bench gate OK (clean run passes, injected regression flagged)"
+
+  # Likewise the file validator: a truncated copy of the traced run's
+  # trace must fail `epitrace check` with exit 1 (not pass, not crash).
+  head -c 4096 build/obs-ci/run/trace.json > build/obs-ci/trace-truncated.json
+  status=0
+  ./build/tools/epitrace check build/obs-ci/trace-truncated.json >/dev/null || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "epitrace check exited $status on a truncated trace, expected 1" >&2
+    exit 1
+  fi
+  echo "trace check gate OK (truncated trace flagged)"
 }
 
 run_asan() {

@@ -1,11 +1,12 @@
 #include "cluster/slurm_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <map>
 #include <queue>
-#include <set>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -68,213 +69,131 @@ void emit_job_span(const DesConfig& config, const SimTask& task,
                          std::move(args));
 }
 
-/// The fault-free seed path. Kept verbatim: with the injector disabled
-/// every schedule must be byte-identical to the pre-resilience build.
-DesResult simulate_perfect(const ClusterSpec& cluster,
+/// What the backfill scan reads of one queued task, packed so the scan
+/// walks small records in queue order instead of chasing pointers into
+/// SimTasks.
+struct ScanKey {
+  double est_hours = 0.0;
+  std::uint32_t nodes = 0;
+  std::uint32_t region = 0;  // dense id of the task's region
+  std::uint32_t db_connections = 0;
+};
+
+/// Pending jobs, as indices into the submitted queue.
+using PendingQueue = std::deque<std::uint32_t>;
+
+/// The first job at or after `it` that can start now, or `pending.end()`.
+/// Jobs passed over that can no longer finish inside the window are
+/// erased and counted in `expired`; without backfill only the head of the
+/// queue may start. This scan is the DES's hot loop (it walks the whole
+/// queue after every event), so it stays a small function over the index
+/// queue, the free-node count and the per-region DB usage.
+PendingQueue::iterator next_startable(PendingQueue& pending,
+                                      PendingQueue::iterator from,
+                                      const std::vector<ScanKey>& keys,
+                                      std::uint32_t free_nodes,
+                                      const std::vector<std::uint32_t>& db_used,
+                                      std::uint32_t db_bound,
+                                      const DesConfig& config, double clock,
+                                      std::size_t& expired) {
+  // Locals the compiler can keep in registers across the loop.
+  const ScanKey* const key = keys.data();
+  const std::uint32_t* const used = db_used.data();
+  const double window = config.window_hours;
+  const bool backfill = config.backfill;
+  for (auto it = from, end = pending.end(); it != end;) {
+    const ScanKey& job = key[*it];
+    // Conservative admission: expected completion must fit the window.
+    if (window > 0.0 && !(clock + job.est_hours <= window)) {
+      ++expired;
+      it = pending.erase(it);
+      end = pending.end();
+      continue;
+    }
+    if (job.nodes <= free_nodes &&
+        used[job.region] + job.db_connections <= db_bound) {
+      return it;
+    }
+    if (!backfill) break;
+    ++it;
+  }
+  return pending.end();
+}
+
+/// One start of one job: its first run, or a requeued run resuming from
+/// its checkpoint. Attempt ids count starts, so id order is start order.
+struct Attempt {
+  std::uint32_t task = 0;       // index into the submitted queue
+  bool killed = false;
+  double base_runtime = 0.0;    // sampled useful runtime, kept on requeue
+  double saved_at_start = 0.0;  // durable checkpoint progress resumed from
+  double start = 0.0;
+  double wall = 0.0;            // planned occupation of the nodes
+  double end = 0.0;             // start + wall, or the kill time
+  std::size_t first_node = 0;   // offset of its node ids in attempt_nodes
+};
+
+}  // namespace
+
+/// The one event loop: completions, node crashes and node repairs. Without
+/// an enabled injector the outage list is empty and only completions
+/// occur. A killed job re-enters the *front* of the queue (Slurm requeues
+/// preempted work at high priority) carrying its durable checkpoint
+/// progress.
+DesResult simulate_cluster(const ClusterSpec& cluster,
                            const std::vector<SimTask>& queue,
                            const DesConfig& config, Rng& rng,
                            std::uint32_t db_bound) {
-  struct Running {
-    double end;
-    std::uint64_t task_id;
-    std::uint32_t nodes;
-    std::string region;
-    std::uint32_t db;
-    // Trace-only bookkeeping (empty/default when tracing is off).
-    double start = 0.0;
-    const SimTask* task = nullptr;
-    std::vector<std::uint32_t> node_ids;
-    bool operator>(const Running& other) const { return end > other.end; }
-  };
-
-  std::deque<const SimTask*> pending;
-  for (const SimTask& task : queue) {
-    EPI_REQUIRE(task.nodes_required <= cluster.nodes,
-                "task " << task.id << " wider than the cluster");
-    pending.push_back(&task);
-  }
-
-  std::priority_queue<Running, std::vector<Running>, std::greater<Running>>
-      running;
-  std::map<std::string, std::uint32_t> db_usage;
-  std::uint32_t free_nodes = cluster.nodes;
-  // Node-identity tracking exists only for the trace (one lane per node);
-  // the schedule itself needs nothing beyond the free count.
-  std::set<std::uint32_t> free_ids;
-  if (config.trace != nullptr) {
-    for (std::uint32_t n = 0; n < cluster.nodes; ++n) free_ids.insert(n);
-  }
-  double clock = 0.0;
-  DesResult result;
-
-  auto actual_runtime = [&](const SimTask& task) {
-    const double noise = std::exp(rng.normal(0.0, config.runtime_sigma));
-    return task.est_hours * noise;
-  };
-
-  auto can_start = [&](const SimTask& task) {
-    if (task.nodes_required > free_nodes) return false;
-    const auto it = db_usage.find(task.region);
-    const std::uint32_t used = it == db_usage.end() ? 0 : it->second;
-    return used + task.db_connections <= db_bound;
-  };
-
-  auto start_task = [&](const SimTask& task) {
-    const double runtime = actual_runtime(task);
-    const double end = clock + runtime;
-    free_nodes -= task.nodes_required;
-    db_usage[task.region] += task.db_connections;
-    Running run;
-    run.end = end;
-    run.task_id = task.id;
-    run.nodes = task.nodes_required;
-    run.region = task.region;
-    run.db = task.db_connections;
-    if (config.trace != nullptr) {
-      run.start = clock;
-      run.task = &task;
-      for (std::uint32_t i = 0; i < task.nodes_required; ++i) {
-        run.node_ids.push_back(*free_ids.begin());
-        free_ids.erase(free_ids.begin());
-      }
-    }
-    running.push(std::move(run));
-    result.jobs.push_back(
-        JobRecord{task.id, clock, end, task.nodes_required});
-    result.busy_node_hours += task.nodes_required * runtime;
-  };
-
-  auto within_window = [&](const SimTask& task) {
-    if (config.window_hours <= 0.0) return true;
-    // Conservative admission: expected completion must fit the window.
-    return clock + task.est_hours <= config.window_hours;
-  };
-
-  auto dispatch = [&] {
-    if (config.backfill) {
-      // Scan the whole queue in order; start everything that fits now.
-      for (auto it = pending.begin(); it != pending.end();) {
-        const SimTask& task = **it;
-        if (!within_window(task)) {
-          ++result.unfinished;
-          it = pending.erase(it);
-          continue;
-        }
-        if (can_start(task)) {
-          start_task(task);
-          it = pending.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    } else {
-      // Strict in-order dispatch: stop at the first job that does not fit.
-      while (!pending.empty()) {
-        const SimTask& task = *pending.front();
-        if (!within_window(task)) {
-          ++result.unfinished;
-          pending.pop_front();
-          continue;
-        }
-        if (!can_start(task)) break;
-        start_task(task);
-        pending.pop_front();
-      }
-    }
-  };
-
-  dispatch();
-  sample_counters(config, clock, cluster.nodes, cluster.nodes - free_nodes, 0,
-                  pending.size());
-  while (!running.empty()) {
-    const Running done = running.top();
-    running.pop();
-    clock = done.end;
-    free_nodes += done.nodes;
-    auto it = db_usage.find(done.region);
-    EPI_ASSERT(it != db_usage.end() && it->second >= done.db,
-               "DB usage accounting underflow");
-    it->second -= done.db;
-    if (config.trace != nullptr) {
-      emit_job_span(config, *done.task, done.node_ids.front(), done.start,
-                    done.end, "job");
-      for (const std::uint32_t node : done.node_ids) free_ids.insert(node);
-    }
-    if (config.metrics != nullptr) {
-      config.metrics->add("slurm.jobs_completed");
-      config.metrics->observe("slurm.job_hours", done.end - done.start,
-                              job_hour_bounds());
-    }
-    dispatch();
-    sample_counters(config, clock, cluster.nodes, cluster.nodes - free_nodes,
-                    0, pending.size());
-  }
-  result.unfinished += pending.size();
-  if (config.metrics != nullptr && result.unfinished > 0) {
-    config.metrics->add("slurm.jobs_unfinished", result.unfinished);
-  }
-
-  result.makespan_hours = clock;
-  result.utilization =
-      clock > 0.0 ? result.busy_node_hours /
-                        (static_cast<double>(cluster.nodes) * clock)
-                  : 1.0;
-  return result;
-}
-
-/// The fault path: node-identity allocation, injector-scheduled crashes,
-/// kill + checkpoint-requeue. A killed job re-enters the *front* of the
-/// queue (Slurm requeues preempted work at high priority) carrying its
-/// durable checkpoint progress.
-DesResult simulate_with_faults(const ClusterSpec& cluster,
-                               const std::vector<SimTask>& queue,
-                               const DesConfig& config, Rng& rng,
-                               std::uint32_t db_bound) {
-  const FaultInjector& faults = *config.faults;
+  EPI_REQUIRE(cluster.nodes > 0, "cluster has no nodes");
+  EPI_REQUIRE(queue.size() <= std::numeric_limits<std::uint32_t>::max(),
+              "queue of " << queue.size() << " tasks is too long");
   const CheckpointSpec& ckpt = config.checkpoint;
   ResilienceLedger* ledger = config.ledger;
 
-  struct PendingJob {
-    const SimTask* task;
-    double base_runtime = 0.0;  // sampled at first start; 0 = fresh
-    double saved_hours = 0.0;   // durable checkpoint progress
-  };
-  struct Instance {
-    const SimTask* task;
-    double base_runtime = 0.0;
-    double saved_at_start = 0.0;
-    double start = 0.0;
-    double end = 0.0;
-    std::vector<std::uint32_t> node_ids;
-    bool alive = true;
-  };
-
-  std::deque<PendingJob> pending;
+  PendingQueue pending;
+  std::vector<ScanKey> keys;
+  keys.reserve(queue.size());
+  std::map<std::string, std::uint32_t> region_ids;
   for (const SimTask& task : queue) {
     EPI_REQUIRE(task.nodes_required <= cluster.nodes,
                 "task " << task.id << " wider than the cluster");
-    pending.push_back(PendingJob{&task});
+    const auto region = region_ids.emplace(
+        task.region, static_cast<std::uint32_t>(region_ids.size()));
+    pending.push_back(static_cast<std::uint32_t>(keys.size()));
+    keys.push_back(ScanKey{task.est_hours, task.nodes_required,
+                           region.first->second, task.db_connections});
   }
+  std::vector<std::uint32_t> db_used(region_ids.size(), 0);
+  // A requeued job's sampled runtime (0 = not started yet) and durable
+  // checkpoint progress, indexed like `queue`.
+  std::vector<double> sampled_runtime(queue.size(), 0.0);
+  std::vector<double> saved_hours(queue.size(), 0.0);
 
   const double horizon = config.window_hours > 0.0
                              ? config.window_hours
                              : config.fault_horizon_hours;
   const std::vector<NodeOutage> outages =
-      faults.node_outages(cluster.nodes, horizon);
+      config.faults != nullptr
+          ? config.faults->node_outages(cluster.nodes, horizon)
+          : std::vector<NodeOutage>{};
   std::size_t outage_idx = 0;
 
-  constexpr std::uint64_t kNone = ~std::uint64_t{0};
-  std::set<std::uint32_t> free_nodes;  // ordered: lowest ids first
-  for (std::uint32_t n = 0; n < cluster.nodes; ++n) free_nodes.insert(n);
-  std::vector<std::uint64_t> node_owner(cluster.nodes, kNone);
+  // Free nodes as a bitmask: jobs take the lowest free ids.
+  std::vector<std::uint64_t> free_mask((cluster.nodes + 63) / 64, 0);
+  for (std::uint32_t n = 0; n < cluster.nodes; ++n) {
+    free_mask[n / 64] |= std::uint64_t{1} << (n % 64);
+  }
+  std::uint32_t free_nodes = cluster.nodes;
+  std::uint32_t down_nodes = 0;
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::vector<std::size_t> node_owner(cluster.nodes, kNone);
   std::vector<bool> node_down(cluster.nodes, false);
 
-  // Ordered by instance id so any iteration (per-instance accounting,
-  // future end-of-window dumps) emits in deterministic sorted key order;
-  // an unordered_map here would make such output hash-order dependent.
-  std::map<std::uint64_t, Instance> running;
-  std::uint64_t next_instance = 0;
-  using EndEvent = std::pair<double, std::uint64_t>;  // (end, instance)
+  std::vector<Attempt> attempts;
+  attempts.reserve(queue.size());
+  std::vector<std::uint32_t> attempt_nodes;
+  // (end, attempt id): earliest end first, exact ties in start order.
+  using EndEvent = std::pair<double, std::size_t>;
   std::priority_queue<EndEvent, std::vector<EndEvent>, std::greater<EndEvent>>
       completions;
   std::priority_queue<std::pair<double, std::uint32_t>,
@@ -282,189 +201,167 @@ DesResult simulate_with_faults(const ClusterSpec& cluster,
                       std::greater<std::pair<double, std::uint32_t>>>
       repairs;  // (up time, node)
 
-  std::map<std::string, std::uint32_t> db_usage;
   double clock = 0.0;
   DesResult result;
 
-  // Remaining wall time an instance occupies its nodes: restore cost (when
+  // Remaining wall time an attempt occupies its nodes: restore cost (when
   // resuming), the un-done useful work, and the remaining checkpoint
-  // writes.
-  auto remaining_wall_hours = [&](const PendingJob& job) {
-    const double useful = std::max(0.0, job.base_runtime - job.saved_hours);
+  // writes. Without checkpointing this is the sampled runtime itself.
+  auto remaining_wall_hours = [&](double base_runtime, double saved) {
+    const double useful = std::max(0.0, base_runtime - saved);
     double wall = useful;
-    if (ckpt.active() && job.base_runtime > 0.0) {
-      const double period = ckpt.period_hours(job.base_runtime);
+    if (ckpt.active() && base_runtime > 0.0) {
+      const double period = ckpt.period_hours(base_runtime);
       const double writes_done =
-          period > 0.0 ? std::floor(job.saved_hours / period + 0.5) : 0.0;
+          period > 0.0 ? std::floor(saved / period + 0.5) : 0.0;
       const double writes_left = std::max(
           0.0, static_cast<double>(ckpt.checkpoints_per_run()) - writes_done);
       wall += writes_left * ckpt.write_cost_s / 3600.0;
     }
-    if (job.saved_hours > 0.0) wall += ckpt.restore_hours();
+    if (saved > 0.0) wall += ckpt.restore_hours();
     return wall;
   };
 
-  auto can_start = [&](const SimTask& task) {
-    if (task.nodes_required > free_nodes.size()) return false;
-    const auto it = db_usage.find(task.region);
-    const std::uint32_t used = it == db_usage.end() ? 0 : it->second;
-    return used + task.db_connections <= db_bound;
-  };
-
-  auto start_job = [&](PendingJob job) {
-    if (job.base_runtime <= 0.0) {
+  auto start_job = [&](std::uint32_t q) {
+    const ScanKey& key = keys[q];
+    if (sampled_runtime[q] <= 0.0) {
       const double noise = std::exp(rng.normal(0.0, config.runtime_sigma));
-      job.base_runtime = job.task->est_hours * noise;
+      sampled_runtime[q] = key.est_hours * noise;
     }
-    Instance inst;
-    inst.task = job.task;
-    inst.base_runtime = job.base_runtime;
-    inst.saved_at_start = job.saved_hours;
-    inst.start = clock;
-    inst.end = clock + remaining_wall_hours(job);
-    for (std::uint32_t i = 0; i < job.task->nodes_required; ++i) {
-      const std::uint32_t node = *free_nodes.begin();
-      free_nodes.erase(free_nodes.begin());
-      node_owner[node] = next_instance;
-      inst.node_ids.push_back(node);
+    const std::size_t id = attempts.size();
+    Attempt& attempt = attempts.emplace_back();
+    attempt.task = q;
+    attempt.base_runtime = sampled_runtime[q];
+    attempt.saved_at_start = saved_hours[q];
+    attempt.start = clock;
+    attempt.wall = remaining_wall_hours(attempt.base_runtime,
+                                        attempt.saved_at_start);
+    attempt.end = clock + attempt.wall;
+    attempt.first_node = attempt_nodes.size();
+    std::uint32_t needed = key.nodes;
+    for (std::size_t w = 0; needed > 0; ++w) {
+      for (; needed > 0 && free_mask[w] != 0; --needed) {
+        const auto node = static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(free_mask[w])));
+        free_mask[w] &= free_mask[w] - 1;
+        node_owner[node] = id;
+        attempt_nodes.push_back(node);
+      }
     }
-    db_usage[job.task->region] += job.task->db_connections;
-    completions.push({inst.end, next_instance});
-    running.emplace(next_instance, std::move(inst));
-    ++next_instance;
-  };
-
-  auto within_window = [&](const SimTask& task) {
-    if (config.window_hours <= 0.0) return true;
-    return clock + task.est_hours <= config.window_hours;
+    free_nodes -= key.nodes;
+    db_used[key.region] += key.db_connections;
+    completions.push({attempt.end, id});
   };
 
   auto dispatch = [&] {
-    if (config.backfill) {
-      for (auto it = pending.begin(); it != pending.end();) {
-        const SimTask& task = *it->task;
-        if (!within_window(task)) {
-          ++result.unfinished;
-          it = pending.erase(it);
-          continue;
-        }
-        if (can_start(task)) {
-          start_job(*it);
-          it = pending.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    } else {
-      while (!pending.empty()) {
-        const SimTask& task = *pending.front().task;
-        if (!within_window(task)) {
-          ++result.unfinished;
-          pending.pop_front();
-          continue;
-        }
-        if (!can_start(task)) break;
-        start_job(pending.front());
-        pending.pop_front();
-      }
+    for (auto it = pending.begin();;) {
+      // The scan may erase expired jobs, so read end() only after it.
+      it = next_startable(pending, it, keys, free_nodes, db_used, db_bound,
+                          config, clock, result.unfinished);
+      if (it == pending.end()) break;
+      start_job(*it);
+      it = pending.erase(it);
     }
   };
 
-  auto release_nodes = [&](const Instance& inst) {
-    for (const std::uint32_t node : inst.node_ids) {
-      if (!node_down[node]) free_nodes.insert(node);
+  auto free_node = [&](std::uint32_t node) {
+    free_mask[node / 64] |= std::uint64_t{1} << (node % 64);
+    ++free_nodes;
+  };
+
+  auto release_nodes = [&](const Attempt& attempt) {
+    const ScanKey& key = keys[attempt.task];
+    for (std::uint32_t i = 0; i < key.nodes; ++i) {
+      const std::uint32_t node = attempt_nodes[attempt.first_node + i];
+      if (!node_down[node]) free_node(node);
       node_owner[node] = kNone;
     }
-    auto it = db_usage.find(inst.task->region);
-    EPI_ASSERT(it != db_usage.end() && it->second >= inst.task->db_connections,
+    EPI_ASSERT(db_used[key.region] >= key.db_connections,
                "DB usage accounting underflow");
-    it->second -= inst.task->db_connections;
+    db_used[key.region] -= key.db_connections;
   };
 
-  auto complete_instance = [&](std::uint64_t id) {
-    Instance& inst = running.at(id);
-    result.jobs.push_back(JobRecord{inst.task->id, inst.start, inst.end,
-                                    inst.task->nodes_required});
-    const double occupied = inst.end - inst.start;
-    result.busy_node_hours += inst.task->nodes_required * occupied;
-    // Wall time that was checkpoint I/O rather than simulation. Without
-    // checkpointing there is none (guard against float residue in
-    // occupied - useful).
-    const double useful = inst.base_runtime - inst.saved_at_start;
-    const double overhead =
-        ckpt.active() ? std::max(0.0, occupied - useful) : 0.0;
-    result.checkpoint_node_hours += inst.task->nodes_required * overhead;
-    if (ledger != nullptr) {
-      ledger->add_checkpoint_overhead_node_hours(inst.task->nodes_required *
-                                                 overhead);
+  auto complete_attempt = [&](std::size_t id) {
+    const Attempt& attempt = attempts[id];
+    const SimTask& task = queue[attempt.task];
+    if (ckpt.active()) {
+      // Wall time that was checkpoint I/O rather than simulation (guard
+      // against float residue in occupied - useful).
+      const double useful = attempt.base_runtime - attempt.saved_at_start;
+      const double overhead =
+          std::max(0.0, (attempt.end - attempt.start) - useful);
+      result.checkpoint_node_hours += task.nodes_required * overhead;
+      if (ledger != nullptr) {
+        ledger->add_checkpoint_overhead_node_hours(task.nodes_required *
+                                                   overhead);
+      }
     }
-    emit_job_span(config, *inst.task, inst.node_ids.front(), inst.start,
-                  inst.end, "job");
+    emit_job_span(config, task, attempt_nodes[attempt.first_node],
+                  attempt.start, attempt.end, "job");
     if (config.metrics != nullptr) {
       config.metrics->add("slurm.jobs_completed");
-      config.metrics->observe("slurm.job_hours", inst.end - inst.start,
+      config.metrics->observe("slurm.job_hours", attempt.end - attempt.start,
                               job_hour_bounds());
     }
-    release_nodes(inst);
-    running.erase(id);
+    release_nodes(attempt);
   };
 
-  auto kill_instance = [&](std::uint64_t id, std::uint32_t crashed_node) {
-    Instance& inst = running.at(id);
-    inst.alive = false;
-    const double elapsed = clock - inst.start;
+  auto kill_attempt = [&](std::size_t id, std::uint32_t crashed_node) {
+    Attempt& attempt = attempts[id];
+    const SimTask& task = queue[attempt.task];
+    attempt.killed = true;
+    attempt.end = clock;
+    const double elapsed = clock - attempt.start;
     // Durable progress: checkpoints completed since this attempt started
     // (execution after the restore phase alternates work and writes).
-    double saved = inst.saved_at_start;
+    double saved = attempt.saved_at_start;
     if (ckpt.active()) {
       const double restore_offset =
-          inst.saved_at_start > 0.0 ? ckpt.restore_hours() : 0.0;
+          attempt.saved_at_start > 0.0 ? ckpt.restore_hours() : 0.0;
       const double executed = std::max(0.0, elapsed - restore_offset);
-      const double period = ckpt.period_hours(inst.base_runtime);
+      const double period = ckpt.period_hours(attempt.base_runtime);
       const double slot = period + ckpt.write_cost_s / 3600.0;
       if (slot > 0.0) {
         const double new_periods = std::floor(executed / slot) * period;
-        saved = std::min(inst.saved_at_start + new_periods,
+        saved = std::min(attempt.saved_at_start + new_periods,
                          static_cast<double>(ckpt.checkpoints_per_run()) *
                              period);
       }
     }
-    const double progressed = saved - inst.saved_at_start;
+    const double progressed = saved - attempt.saved_at_start;
     const double wasted = std::max(0.0, elapsed - progressed);
-    result.busy_node_hours += inst.task->nodes_required * elapsed;
-    result.wasted_node_hours += inst.task->nodes_required * wasted;
+    result.wasted_node_hours += task.nodes_required * wasted;
     ++result.jobs_requeued;
     if (ledger != nullptr) {
-      ledger->add_wasted_node_hours(inst.task->nodes_required * wasted);
+      ledger->add_wasted_node_hours(task.nodes_required * wasted);
       ledger->record(FaultKind::kJobKilled, clock,
-                     "task " + std::to_string(inst.task->id) + " on node " +
+                     "task " + std::to_string(task.id) + " on node " +
                          std::to_string(crashed_node));
       ledger->record(FaultKind::kJobRequeued, clock,
-                     "task " + std::to_string(inst.task->id) +
-                         " from checkpoint");
+                     "task " + std::to_string(task.id) + " from checkpoint");
     }
-    emit_job_span(config, *inst.task, inst.node_ids.front(), inst.start, clock,
-                  "job.killed");
+    emit_job_span(config, task, attempt_nodes[attempt.first_node],
+                  attempt.start, clock, "job.killed");
     if (config.metrics != nullptr) config.metrics->add("slurm.jobs_requeued");
-    PendingJob requeued{inst.task, inst.base_runtime, saved};
-    release_nodes(inst);
-    running.erase(id);
-    pending.push_front(requeued);
+    saved_hours[attempt.task] = saved;
+    release_nodes(attempt);
+    pending.push_front(attempt.task);
   };
 
   auto crash_node = [&](const NodeOutage& outage) {
     const std::uint32_t node = outage.node;
     if (node_down[node]) return;  // defensive; schedules do not overlap
     node_down[node] = true;
+    ++down_nodes;
     if (ledger != nullptr) {
       ledger->record(FaultKind::kNodeCrash, clock,
                      "node " + std::to_string(node));
     }
-    const std::uint64_t owner = node_owner[node];
-    if (owner != kNone) {
-      kill_instance(owner, node);
+    if (node_owner[node] != kNone) {
+      kill_attempt(node_owner[node], node);
     } else {
-      free_nodes.erase(node);
+      free_mask[node / 64] &= ~(std::uint64_t{1} << (node % 64));
+      --free_nodes;
     }
     repairs.push({outage.up_hours, node});
   };
@@ -472,34 +369,29 @@ DesResult simulate_with_faults(const ClusterSpec& cluster,
   auto repair_node = [&](std::uint32_t node) {
     EPI_ASSERT(node_down[node], "repairing a node that is not down");
     node_down[node] = false;
-    free_nodes.insert(node);
+    --down_nodes;
+    free_node(node);
     if (ledger != nullptr) {
       ledger->record(FaultKind::kNodeRepair, clock,
                      "node " + std::to_string(node));
     }
   };
 
-  // Busy/down/free counter sample on the current DES clock; only the
-  // trace consumes it, so skip the counting work entirely otherwise.
   auto sample_now = [&] {
-    if (config.trace == nullptr) return;
-    const auto down = static_cast<std::size_t>(
-        std::count(node_down.begin(), node_down.end(), true));
-    const std::size_t busy = cluster.nodes - free_nodes.size() - down;
-    sample_counters(config, clock, cluster.nodes, busy, down, pending.size());
+    sample_counters(config, clock, cluster.nodes,
+                    cluster.nodes - free_nodes - down_nodes, down_nodes,
+                    pending.size());
   };
 
   dispatch();
   sample_now();
   while (true) {
-    // Drop completion events of killed instances.
-    while (!completions.empty() &&
-           (running.find(completions.top().second) == running.end() ||
-            !running.at(completions.top().second).alive)) {
+    // Drop completion events of killed attempts; what remains on the heap
+    // is exactly the running set.
+    while (!completions.empty() && attempts[completions.top().second].killed) {
       completions.pop();
     }
-    const bool work_left = !running.empty() || !pending.empty();
-    if (!work_left) break;
+    if (completions.empty() && pending.empty()) break;
 
     // Next event: job completion, node crash, or node repair. Crashes and
     // repairs only matter while work remains (checked above).
@@ -524,9 +416,9 @@ DesResult simulate_with_faults(const ClusterSpec& cluster,
     clock = when;
     switch (kind) {
       case kCompletion: {
-        const std::uint64_t id = completions.top().second;
+        const std::size_t id = completions.top().second;
         completions.pop();
-        complete_instance(id);
+        complete_attempt(id);
         break;
       }
       case kCrash:
@@ -550,25 +442,25 @@ DesResult simulate_with_faults(const ClusterSpec& cluster,
     config.metrics->add("slurm.jobs_unfinished", result.unfinished);
   }
 
+  // Accounting in start order. A completed attempt held its nodes for its
+  // planned wall time, a killed one until the kill; without kills and
+  // checkpoints this is the sampled runtimes summed as the jobs started.
+  for (const Attempt& attempt : attempts) {
+    const SimTask& task = queue[attempt.task];
+    const double occupied =
+        attempt.killed ? attempt.end - attempt.start : attempt.wall;
+    result.busy_node_hours += task.nodes_required * occupied;
+    if (!attempt.killed) {
+      result.jobs.push_back(JobRecord{task.id, attempt.start, attempt.end,
+                                      task.nodes_required});
+    }
+  }
   result.makespan_hours = clock;
   result.utilization =
       clock > 0.0 ? result.busy_node_hours /
                         (static_cast<double>(cluster.nodes) * clock)
                   : 1.0;
   return result;
-}
-
-}  // namespace
-
-DesResult simulate_cluster(const ClusterSpec& cluster,
-                           const std::vector<SimTask>& queue,
-                           const DesConfig& config, Rng& rng,
-                           std::uint32_t db_bound) {
-  EPI_REQUIRE(cluster.nodes > 0, "cluster has no nodes");
-  if (config.faults != nullptr && config.faults->enabled()) {
-    return simulate_with_faults(cluster, queue, config, rng, db_bound);
-  }
-  return simulate_perfect(cluster, queue, config, rng, db_bound);
 }
 
 }  // namespace epi

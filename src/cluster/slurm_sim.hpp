@@ -11,12 +11,12 @@
 // utilization metric EC = busy node-hours / (total nodes x time of last
 // completion).
 //
-// Fault injection (src/resilience/) is strictly additive: with
-// DesConfig::faults unset or disabled the simulation takes the exact
-// seed code path. With faults enabled, nodes crash on the injector's
-// schedule, running jobs on a crashed node are killed and requeued from
-// their last checkpoint (CheckpointSpec), and every fault/recovery is
-// recorded in the optional ResilienceLedger.
+// One event loop serves perfect and faulty hardware alike (DESIGN.md §6).
+// Nodes crash on the schedule of DesConfig::faults; with no injector, or
+// a disabled one, that schedule is empty and only completions occur.
+// Running jobs on a crashed node are killed and requeued from their last
+// checkpoint (CheckpointSpec), and every fault/recovery is recorded in the
+// optional ResilienceLedger.
 #pragma once
 
 #include <cstdint>
@@ -44,11 +44,13 @@ struct JobRecord {
 };
 
 struct DesResult {
-  std::vector<JobRecord> jobs;   // completed jobs (final, successful runs)
+  std::vector<JobRecord> jobs;   // completed runs, in start order
   std::size_t unfinished = 0;    // did not fit in the window
   double makespan_hours = 0.0;   // last completion
   /// EC: busy node-hours within [0, makespan] / (nodes x makespan).
   double utilization = 0.0;
+  /// Node-hours held by every run, killed ones included, summed in start
+  /// order.
   double busy_node_hours = 0.0;
 
   // Fault-path accounting (0 when fault injection is off).
@@ -69,10 +71,11 @@ struct DesConfig {
   /// (0 = no window).
   double window_hours = 0.0;
 
-  /// Optional fault injector (nullptr or disabled = perfect hardware and
-  /// the seed code path, byte-identical results).
+  /// Optional fault injector (nullptr or disabled = perfect hardware: no
+  /// outages, so no kills).
   const FaultInjector* faults = nullptr;
-  /// Checkpoint/requeue model used when faults are active.
+  /// Checkpoint/requeue model. An active spec adds its checkpoint writes
+  /// to every run's wall time, with or without faults.
   CheckpointSpec checkpoint;
   /// Optional fault/recovery event sink.
   ResilienceLedger* ledger = nullptr;
@@ -81,7 +84,7 @@ struct DesConfig {
   /// modeled. Ignored when a window is set (the window is the horizon).
   double fault_horizon_hours = 336.0;
 
-  /// Optional trace sink (nullptr = no tracing, the exact seed path).
+  /// Optional trace sink (nullptr = no tracing; the schedule is the same).
   /// When set, every job becomes an 'X' span on its lowest node's lane of
   /// `trace_pid`, killed attempts become "job.killed" spans, and
   /// busy-node / queue-depth / utilization counter series are sampled at

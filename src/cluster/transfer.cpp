@@ -55,23 +55,17 @@ double GlobusTransfer::attempt_seconds(std::uint64_t bytes,
 double GlobusTransfer::transfer(const std::string& description,
                                 std::uint64_t bytes, bool to_remote) {
   EPI_REQUIRE(link_.bandwidth_mbytes_per_s > 0.0, "zero-bandwidth link");
-  if (faults_ == nullptr || !faults_->enabled()) {
-    // Seed path: one attempt, nominal throughput. Zero bytes still pay
-    // the per-transfer overhead.
-    const double seconds =
-        link_.per_transfer_overhead_s +
-        static_cast<double>(bytes) / (link_.bandwidth_mbytes_per_s * 1e6);
-    ledger_.push_back(TransferRecord{description, bytes, seconds, to_remote});
-    emit_record(ledger_.back(), /*degraded=*/false);
-    return seconds;
-  }
-
+  // Without an injector (or with a disabled one) the first attempt
+  // succeeds at nominal throughput. Zero bytes still pay the per-transfer
+  // overhead.
   const std::uint64_t seq = transfer_seq_++;
   double total_s = 0.0;
   double wait_s = 0.0;
   std::uint32_t attempt = 1;
   while (true) {
-    const WanAttemptFault fault = faults_->wan_attempt(seq, attempt);
+    const WanAttemptFault fault = faults_ != nullptr
+                                      ? faults_->wan_attempt(seq, attempt)
+                                      : WanAttemptFault{};
     if (!fault.fail) {
       if (fault.throughput_factor < 1.0 && fault_ledger_ != nullptr) {
         fault_ledger_->record(FaultKind::kWanDegraded, 0.0, description);

@@ -10,11 +10,11 @@
 // Even a zero-byte transfer pays the per-transfer overhead (session
 // setup and checksums are size-independent).
 //
-// With a FaultInjector attached (enable_resilience), each transfer runs
-// an attempt loop: attempts may fail outright or run at degraded
+// Each transfer runs one attempt loop. With a FaultInjector attached
+// (enable_resilience), attempts may fail outright or run at degraded
 // throughput, failed attempts are retried under a RetryPolicy with
-// seeded backoff jitter, and exhaustion throws. Without an injector the
-// arithmetic is byte-identical to the seed model.
+// seeded backoff jitter, and exhaustion throws. Without an injector, or
+// with a disabled one, the first attempt succeeds at nominal throughput.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +59,7 @@ class GlobusTransfer {
   void enable_resilience(const FaultInjector* injector, RetryPolicy policy,
                          ResilienceLedger* ledger = nullptr);
 
-  /// Attaches tracing/metrics (nullptr = the exact seed path). Each
+  /// Attaches tracing/metrics (nullptr = none; durations are the same). Each
   /// transfer becomes an 'X' span on `pid`, lane 0 (to remote) or 1 (to
   /// home), starting at the clock set by set_clock_hours and lasting the
   /// modeled duration; bytes/attempt counters and a duration histogram go

@@ -1,5 +1,9 @@
 #include "epihiper/interventions.hpp"
 
+#include <algorithm>
+#include <initializer_list>
+#include <string_view>
+
 #include "epihiper/scripted.hpp"
 #include "util/error.hpp"
 
@@ -14,6 +18,21 @@ constexpr std::uint64_t kRoCoin = 0x524fULL;         // "RO"
 constexpr std::uint64_t kTaCoin = 0x5441ULL;         // "TA"
 constexpr std::uint64_t kCtIndexCoin = 0x435449ULL;  // "CTI"
 constexpr std::uint64_t kCtTraceCoin = 0x435454ULL;  // "CTT"
+
+/// Throws ConfigError naming `type` and the key unless every key of
+/// `spec` is "type" or one of `known`: a misspelled knob must not
+/// silently run at its default.
+void require_known_keys(const Json& spec, const std::string& type,
+                        std::initializer_list<std::string_view> known) {
+  for (const auto& [key, value] : spec.as_object()) {
+    if (key == "type" ||
+        std::find(known.begin(), known.end(), key) != known.end()) {
+      continue;
+    }
+    throw ConfigError("intervention type " + type + " has no key '" + key +
+                      "'");
+  }
+}
 }  // namespace
 
 void VoluntaryHomeIsolation::apply(Simulation& sim) {
@@ -311,6 +330,7 @@ std::vector<std::shared_ptr<Intervention>> make_intervention_stack(
 std::shared_ptr<Intervention> intervention_from_json(const Json& spec) {
   const std::string type = spec.at("type").as_string();
   if (type == "VHI") {
+    require_known_keys(spec, type, {"compliance", "isolationDays", "start"});
     VoluntaryHomeIsolation::Config c;
     c.compliance = spec.get_double("compliance", c.compliance);
     c.isolation_days =
@@ -319,12 +339,14 @@ std::shared_ptr<Intervention> intervention_from_json(const Json& spec) {
     return std::make_shared<VoluntaryHomeIsolation>(c);
   }
   if (type == "SC") {
+    require_known_keys(spec, type, {"start", "end"});
     SchoolClosure::Config c;
     c.start = static_cast<Tick>(spec.get_int("start", c.start));
     c.end = static_cast<Tick>(spec.get_int("end", c.end));
     return std::make_shared<SchoolClosure>(c);
   }
   if (type == "SH") {
+    require_known_keys(spec, type, {"start", "end", "compliance"});
     StayAtHome::Config c;
     c.start = static_cast<Tick>(spec.get_int("start", c.start));
     c.end = static_cast<Tick>(spec.get_int("end", c.end));
@@ -332,12 +354,15 @@ std::shared_ptr<Intervention> intervention_from_json(const Json& spec) {
     return std::make_shared<StayAtHome>(c);
   }
   if (type == "RO") {
+    require_known_keys(spec, type, {"reopenTick", "level"});
     PartialReopening::Config c;
     c.reopen_tick = static_cast<Tick>(spec.get_int("reopenTick", c.reopen_tick));
     c.level = spec.get_double("level", c.level);
     return std::make_shared<PartialReopening>(c);
   }
   if (type == "TA") {
+    require_known_keys(spec, type,
+                       {"start", "dailyDetection", "isolationDays"});
     TestAndIsolate::Config c;
     c.start = static_cast<Tick>(spec.get_int("start", c.start));
     c.daily_detection = spec.get_double("dailyDetection", c.daily_detection);
@@ -346,6 +371,8 @@ std::shared_ptr<Intervention> intervention_from_json(const Json& spec) {
     return std::make_shared<TestAndIsolate>(c);
   }
   if (type == "PS") {
+    require_known_keys(spec, type,
+                       {"start", "onDays", "offDays", "compliance"});
     PulsingShutdown::Config c;
     c.start = static_cast<Tick>(spec.get_int("start", c.start));
     c.on_days = static_cast<Tick>(spec.get_int("onDays", c.on_days));
@@ -357,6 +384,9 @@ std::shared_ptr<Intervention> intervention_from_json(const Json& spec) {
     return std::make_shared<ScriptedIntervention>(spec);
   }
   if (type == "D1CT" || type == "D2CT") {
+    require_known_keys(spec, type,
+                       {"start", "indexCompliance", "traceCompliance",
+                        "isolationDays", "monitorDays"});
     ContactTracing::Config c;
     c.depth = type == "D2CT" ? 2 : 1;
     c.start = static_cast<Tick>(spec.get_int("start", c.start));
@@ -366,6 +396,8 @@ std::shared_ptr<Intervention> intervention_from_json(const Json& spec) {
         spec.get_double("traceCompliance", c.trace_compliance);
     c.isolation_days =
         static_cast<Tick>(spec.get_int("isolationDays", c.isolation_days));
+    c.monitor_days =
+        static_cast<Tick>(spec.get_int("monitorDays", c.monitor_days));
     return std::make_shared<ContactTracing>(c);
   }
   throw ConfigError("unknown intervention type: " + type);

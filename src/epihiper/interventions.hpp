@@ -185,7 +185,9 @@ std::vector<std::shared_ptr<Intervention>> make_intervention_stack(
 const std::vector<std::string>& intervention_stack_names();
 
 /// Builds one intervention from a JSON spec {"type": "VHI", ...}; the
-/// workflow layer uses this to materialize cell configurations.
+/// workflow layer uses this to materialize cell configurations. A
+/// built-in type's spec may hold only "type" and that type's own keys;
+/// any other key throws ConfigError naming the type and the key.
 std::shared_ptr<Intervention> intervention_from_json(const Json& spec);
 
 }  // namespace epi

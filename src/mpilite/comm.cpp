@@ -469,8 +469,8 @@ std::vector<Bytes> Comm::alltoallv_bytes(const std::vector<Bytes>& outbox) {
   return inbox;
 }
 
-std::vector<double> Comm::allreduce(std::span<const double> values,
-                                    ReduceOp op) {
+template <typename T>
+std::vector<T> Comm::allreduce_impl(std::span<const T> values, ReduceOp op) {
   auto* chk = checker();
   if (chk != nullptr && !in_collective_) {
     chk->on_collective(rank_, detail::CollectiveKind::kAllreduce, -1,
@@ -478,28 +478,29 @@ std::vector<double> Comm::allreduce(std::span<const double> values,
   }
   detail::CollectiveScope scope(in_collective_);
   const Timer timer;
-  // Gather everyone's vector, reduce locally. O(P^2) messages — fine for
-  // the rank counts we run (<= 64).
-  std::vector<double> mine(values.begin(), values.end());
+  // Gather everyone's vector, reduce locally in rank order. O(P^2)
+  // messages — fine for the rank counts we run (<= 64).
   Bytes raw = allgatherv_bytes(
-      Bytes(reinterpret_cast<const std::byte*>(mine.data()),
-            reinterpret_cast<const std::byte*>(mine.data()) +
-                mine.size() * sizeof(double)));
+      Bytes(reinterpret_cast<const std::byte*>(values.data()),
+            reinterpret_cast<const std::byte*>(values.data()) +
+                values.size() * sizeof(T)));
   const std::size_t n = values.size();
-  EPI_REQUIRE(raw.size() == n * sizeof(double) * static_cast<std::size_t>(size()),
+  EPI_REQUIRE(raw.size() == n * sizeof(T) * static_cast<std::size_t>(size()),
               "allreduce: ranks contributed different lengths");
-  std::vector<double> all(raw.size() / sizeof(double));
-  std::memcpy(all.data(), raw.data(), raw.size());
-  std::vector<double> result(n);
+  std::vector<T> all(raw.size() / sizeof(T));
+  if (!raw.empty()) std::memcpy(all.data(), raw.data(), raw.size());
+  std::vector<T> result(n);
   for (std::size_t i = 0; i < n; ++i) {
-    double acc = all[i];
+    T acc = all[i];
     for (int r = 1; r < size(); ++r) {
-      const double x = all[static_cast<std::size_t>(r) * n + i];
+      const T x = all[static_cast<std::size_t>(r) * n + i];
       switch (op) {
         case ReduceOp::kSum: acc += x; break;
         case ReduceOp::kMin: acc = std::min(acc, x); break;
         case ReduceOp::kMax: acc = std::max(acc, x); break;
-        case ReduceOp::kLogicalOr: acc = (acc != 0.0 || x != 0.0) ? 1.0 : 0.0; break;
+        case ReduceOp::kLogicalOr:
+          acc = (acc != T{0} || x != T{0}) ? T{1} : T{0};
+          break;
       }
     }
     result[i] = acc;
@@ -509,6 +510,11 @@ std::vector<double> Comm::allreduce(std::span<const double> values,
   }
   if (chk != nullptr && !scope.outer()) chk->on_op_complete(rank_, "allreduce");
   return result;
+}
+
+std::vector<double> Comm::allreduce(std::span<const double> values,
+                                    ReduceOp op) {
+  return allreduce_impl(values, op);
 }
 
 double Comm::allreduce(double value, ReduceOp op) {
@@ -517,42 +523,7 @@ double Comm::allreduce(double value, ReduceOp op) {
 
 std::vector<std::int64_t> Comm::allreduce(std::span<const std::int64_t> values,
                                           ReduceOp op) {
-  auto* chk = checker();
-  if (chk != nullptr && !in_collective_) {
-    chk->on_collective(rank_, detail::CollectiveKind::kAllreduce, -1,
-                       static_cast<int>(op), values.size(), true);
-  }
-  detail::CollectiveScope scope(in_collective_);
-  const Timer timer;
-  Bytes raw = allgatherv_bytes(
-      Bytes(reinterpret_cast<const std::byte*>(values.data()),
-            reinterpret_cast<const std::byte*>(values.data()) +
-                values.size() * sizeof(std::int64_t)));
-  const std::size_t n = values.size();
-  EPI_REQUIRE(
-      raw.size() == n * sizeof(std::int64_t) * static_cast<std::size_t>(size()),
-      "allreduce: ranks contributed different lengths");
-  std::vector<std::int64_t> all(raw.size() / sizeof(std::int64_t));
-  if (!raw.empty()) std::memcpy(all.data(), raw.data(), raw.size());
-  std::vector<std::int64_t> result(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::int64_t acc = all[i];
-    for (int r = 1; r < size(); ++r) {
-      const std::int64_t x = all[static_cast<std::size_t>(r) * n + i];
-      switch (op) {
-        case ReduceOp::kSum: acc += x; break;
-        case ReduceOp::kMin: acc = std::min(acc, x); break;
-        case ReduceOp::kMax: acc = std::max(acc, x); break;
-        case ReduceOp::kLogicalOr: acc = (acc != 0 || x != 0) ? 1 : 0; break;
-      }
-    }
-    result[i] = acc;
-  }
-  if (!scope.outer()) {
-    detail::record_collective_seconds(*hub_, "allreduce", timer);
-  }
-  if (chk != nullptr && !scope.outer()) chk->on_op_complete(rank_, "allreduce");
-  return result;
+  return allreduce_impl(values, op);
 }
 
 std::int64_t Comm::allreduce(std::int64_t value, ReduceOp op) {
@@ -614,11 +585,6 @@ std::vector<double> Comm::broadcast(std::vector<double> value, int root) {
     chk->on_op_complete(rank_, "broadcast(root=" + std::to_string(root) + ")");
   }
   return out;
-}
-
-std::int64_t Comm::broadcast(std::int64_t value, int root) {
-  auto v = broadcast(std::vector<double>{static_cast<double>(value)}, root);
-  return static_cast<std::int64_t>(v[0]);
 }
 
 namespace {

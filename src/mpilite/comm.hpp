@@ -228,7 +228,6 @@ class Comm {
 
   /// Broadcast from `root`: root's `value` is returned on every rank.
   std::vector<double> broadcast(std::vector<double> value, int root);
-  std::int64_t broadcast(std::int64_t value, int root);
 
   /// Total bytes this rank has sent through point-to-point and alltoallv
   /// (communication-volume accounting for the strong-scaling model).
@@ -240,6 +239,9 @@ class Comm {
       : hub_(std::move(hub)), rank_(rank) {}
 
   detail::CommChecker* checker() const;
+  /// The one allreduce body behind both element types (comm.cpp).
+  template <typename T>
+  std::vector<T> allreduce_impl(std::span<const T> values, ReduceOp op);
   Bytes take_blocking(int source, int tag, const std::string& what);
   Bytes allgatherv_bytes(Bytes mine);
   std::vector<Bytes> alltoallv_bytes(const std::vector<Bytes>& outbox);

@@ -177,9 +177,6 @@ std::optional<DbConnection> PersonDbServer::connect() {
 ResilientConnectResult PersonDbServer::connect_resilient(
     const FaultInjector& faults, const RetryPolicy& policy,
     ResilienceLedger* ledger) {
-  if (!faults.enabled()) {
-    return ResilientConnectResult{connect(), 1, 0.0};
-  }
   std::uint32_t attempt = 1;
   double wait_s = 0.0;
   while (true) {

@@ -102,8 +102,8 @@ class PersonDbServer {
   /// (FaultSpec::db_drop_prob) and are retried with backoff per
   /// `policy`. Every attempt — dropped or not — consumes one slot of
   /// this server's deterministic attempt sequence, so the outcome
-  /// depends only on (fault seed, region, attempt index). With the
-  /// injector disabled this is exactly connect().
+  /// depends only on (fault seed, region, attempt index). A disabled
+  /// injector drops nothing, so the first attempt is exactly connect().
   ResilientConnectResult connect_resilient(const FaultInjector& faults,
                                            const RetryPolicy& policy,
                                            ResilienceLedger* ledger = nullptr);

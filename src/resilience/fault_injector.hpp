@@ -28,9 +28,11 @@ namespace epi {
 /// world; paper-plausible production rates are node MTBF >= 30 days,
 /// WAN failure <= 2%, and rare DB session drops.
 struct FaultSpec {
-  /// Master switch. When false the injector is inert and all other knobs
-  /// are ignored; every consumer must behave byte-identically to a build
-  /// without fault injection.
+  /// Master switch, read only by FaultInjector. When false the injector
+  /// schedules no outage and reports no WAN, DB or simulation fault,
+  /// whatever the other knobs say. Consumers never branch on it: they run
+  /// their one path, which with nothing injected reproduces the
+  /// fault-free results byte for byte.
   bool enabled = false;
   /// Fault-schedule seed, independent of the workflow seed so the same
   /// night can be replayed under different weather.

@@ -46,9 +46,7 @@ WorkflowReport NightlyWorkflow::run(const WorkflowDesign& design) {
   const FaultInjector injector(config_.faults);
   ResilienceLedger ledger;
   GlobusTransfer wan;
-  if (injector.enabled()) {
-    wan.enable_resilience(&injector, config_.retry, &ledger);
-  }
+  wan.enable_resilience(&injector, config_.retry, &ledger);
 
   // Observability session (null = disabled, the exact untraced path).
   obs::TraceRecorder* const trace =
@@ -157,12 +155,10 @@ WorkflowReport NightlyWorkflow::run(const WorkflowDesign& design) {
   DesConfig des_config;
   des_config.window_hours = remote_.window_hours;
   des_config.backfill = config_.policy != PackingPolicy::kNextFitArrival;
-  if (injector.enabled()) {
-    des_config.faults = &injector;
-    des_config.checkpoint = config_.checkpoint;
-    des_config.checkpoint.job_ticks = design.num_days;
-    des_config.ledger = &ledger;
-  }
+  des_config.faults = &injector;
+  des_config.checkpoint = config_.checkpoint;
+  des_config.checkpoint.job_ticks = design.num_days;
+  des_config.ledger = &ledger;
   des_config.trace = trace;
   des_config.trace_pid = pid_remote;
   des_config.trace_base_hours = clock_hours;
@@ -246,18 +242,14 @@ WorkflowReport NightlyWorkflow::run(const WorkflowDesign& design) {
     // Each running job holds connections against the region's database.
     // Under fault injection the session may drop and reconnect with
     // backoff.
-    std::optional<DbConnection> connection = [&]() -> std::optional<DbConnection> {
-      if (!injector.enabled()) return databases_.get(abbrev).connect();
-      ResilientConnectResult attempt = databases_.get(abbrev).connect_resilient(
-          injector, config_.retry, &ledger);
-      db_retry_wait_s += attempt.wait_s;
-      return std::move(attempt.connection);
-    }();
-    EPI_REQUIRE(connection.has_value(),
+    ResilientConnectResult session = databases_.get(abbrev).connect_resilient(
+        injector, config_.retry, &ledger);
+    db_retry_wait_s += session.wait_s;
+    EPI_REQUIRE(session.connection.has_value(),
                 "database connection pool exhausted for " << abbrev);
     // Touch the traits through the server as the simulator does at start.
-    connection->persons_in_county(0);
-    report.db_queries_served += connection->queries_served();
+    session.connection->persons_in_county(0);
+    report.db_queries_served += session.connection->queries_served();
   }
 
   // Execution pass: the sampled simulations themselves — each a pure

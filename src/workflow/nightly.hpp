@@ -70,13 +70,14 @@ struct NightlyConfig {
   std::size_t jobs = 0;
 
   /// Injected fault environment (disabled by default: perfect hardware,
-  /// byte-identical to the seed engine).
+  /// so no attempt fails, drops or is killed).
   FaultSpec faults;
   /// Backoff for WAN transfers and person-DB sessions under faults.
   RetryPolicy retry;
-  /// Checkpoint/requeue model for remote jobs under faults
-  /// (interval_ticks == 0: killed jobs restart from scratch). job_ticks
-  /// is overwritten with the design's horizon at run time.
+  /// Checkpoint/requeue model for remote jobs (interval_ticks == 0, the
+  /// default: no checkpoint writes, and killed jobs restart from
+  /// scratch). job_ticks is overwritten with the design's horizon at run
+  /// time.
   CheckpointSpec checkpoint;
   /// Replace wall-clock phase timings (config generation, sample
   /// execution) with their deterministic model floors, making the whole

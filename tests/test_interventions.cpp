@@ -216,6 +216,59 @@ TEST(Interventions, JsonFactoryBuildsEveryType) {
                ConfigError);
 }
 
+TEST(Interventions, JsonRejectsUnknownKeys) {
+  // One misspelled key per built-in type: each must fail loudly, naming
+  // the type and the key, instead of running at the default.
+  const struct {
+    const char* type;
+    const char* key;
+    const char* spec;
+  } typos[] = {
+      {"VHI", "complaince", R"({"type": "VHI", "complaince": 0.1})"},
+      {"SC", "stop", R"({"type": "SC", "start": 5, "stop": 60})"},
+      {"SH", "compilance", R"({"type": "SH", "compilance": 0.7})"},
+      {"RO", "reopenDay", R"({"type": "RO", "reopenDay": 50})"},
+      {"TA", "dailyDetect", R"({"type": "TA", "dailyDetect": 0.1})"},
+      {"PS", "onDay", R"({"type": "PS", "onDay": 7, "offDays": 7})"},
+      {"D1CT", "monitordays", R"({"type": "D1CT", "monitordays": 3})"},
+      {"D2CT", "traceComplaince",
+       R"({"type": "D2CT", "traceComplaince": 0.9})"},
+  };
+  for (const auto& typo : typos) {
+    try {
+      intervention_from_json(parse_json(typo.spec));
+      ADD_FAILURE() << "accepted " << typo.spec;
+    } catch (const ConfigError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(typo.type), std::string::npos) << message;
+      EXPECT_NE(message.find(typo.key), std::string::npos) << message;
+    }
+  }
+}
+
+TEST(Interventions, JsonMonitorDaysShortensMonitoring) {
+  // "monitorDays" reaches ContactTracing::Config: a 3-day program reviews
+  // fewer contact-list entries than the default 14 days on the same run.
+  auto reviews_with = [](const char* spec_text) {
+    const auto tracer = std::dynamic_pointer_cast<ContactTracing>(
+        intervention_from_json(parse_json(spec_text)));
+    EXPECT_NE(tracer, nullptr) << spec_text;
+    CovidParams params;
+    params.transmissibility = 0.22;
+    const DiseaseModel model = covid_model(params);
+    run_simulation(test_region().network, test_region().population, model,
+                   base_config(60), [&] {
+                     return std::vector<std::shared_ptr<Intervention>>{tracer};
+                   });
+    return tracer->reviews();
+  };
+  const std::uint64_t short_program =
+      reviews_with(R"({"type": "D1CT", "monitorDays": 3})");
+  const std::uint64_t default_program = reviews_with(R"({"type": "D1CT"})");
+  EXPECT_GT(short_program, 0u);
+  EXPECT_LT(short_program, default_program);
+}
+
 TEST(Interventions, JsonNamesMatchTypes) {
   EXPECT_EQ(intervention_from_json(parse_json(R"({"type": "D2CT"})"))->name(),
             "D2CT");

@@ -78,7 +78,7 @@ TEST(MpiliteCheck, BroadcastRootMismatchFlagged) {
   const auto reports = Runtime::run_checked(
       2,
       [](Comm& comm) {
-        comm.broadcast(std::int64_t{7}, 1 - comm.rank());
+        comm.broadcast(std::vector<double>{7.0}, 1 - comm.rank());
       },
       fast_watchdog());
   EXPECT_GE(count_kind(reports, CheckKind::kCollectiveMismatch), 1u);

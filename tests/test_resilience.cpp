@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <set>
+#include <string>
 
 #include "cluster/machine.hpp"
 #include "cluster/slurm_sim.hpp"
@@ -258,6 +260,120 @@ TEST(SlurmSimFaults, NullInjectorMatchesSeedPath) {
   EXPECT_DOUBLE_EQ(b.wasted_node_hours, 0.0);
 }
 
+/// Exact text of a double, so pins and comparisons are bit for bit.
+std::string hex(double value) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%a", value);
+  return text;
+}
+
+/// Every scalar DesResult field as exact text.
+std::string des_scalars(const DesResult& r) {
+  return "unfinished=" + std::to_string(r.unfinished) +
+         " makespan=" + hex(r.makespan_hours) +
+         " utilization=" + hex(r.utilization) +
+         " busy=" + hex(r.busy_node_hours) +
+         " requeued=" + std::to_string(r.jobs_requeued) +
+         " wasted=" + hex(r.wasted_node_hours) +
+         " checkpoint=" + hex(r.checkpoint_node_hours);
+}
+
+std::string job_text(const JobRecord& job) {
+  return std::to_string(job.task_id) + ' ' + hex(job.start_hours) + ' ' +
+         hex(job.end_hours) + ' ' + std::to_string(job.nodes);
+}
+
+/// The calibration night's packed queue (15,300 tasks): long enough that
+/// backfill, the window and out-of-start-order completions all occur.
+std::vector<SimTask> calibration_queue() {
+  const WorkflowDesign design = calibration_design();
+  const std::vector<SimTask> tasks = make_workflow_tasks(
+      design.regions, design.cells, design.replicates, design.cost_factor);
+  const PackingPlan plan = pack_tasks(tasks, bridges_cluster().nodes,
+                                      PackingPolicy::kFirstFitDecreasing);
+  std::map<std::uint64_t, const SimTask*> by_id;
+  for (const SimTask& task : tasks) by_id.emplace(task.id, &task);
+  std::vector<SimTask> ordered;
+  for (const PackingLevel& level : plan.levels) {
+    for (std::uint64_t id : level.task_ids) ordered.push_back(*by_id.at(id));
+  }
+  return ordered;
+}
+
+TEST(SlurmSimFaults, ZeroRateInjectorMatchesNoInjector) {
+  // An armed injector whose every rate is 0 schedules no outage, so the
+  // one event loop must reproduce the no-injector night exactly: the
+  // schedule, the job order and the last bit of utilization.
+  const std::vector<SimTask> queue = calibration_queue();
+  FaultSpec zero;
+  zero.enabled = true;
+  const FaultInjector injector(zero);
+  DesConfig plain;
+  plain.window_hours = bridges_cluster().window_hours;
+  DesConfig armed = plain;
+  armed.faults = &injector;
+  // The nightly engine's DES stream at its default seed.
+  const Rng des_rng = Rng(20200325).derive({0x444553ULL});
+  Rng rng_a = des_rng, rng_b = des_rng;
+  const DesResult a = simulate_cluster(bridges_cluster(), queue, plain, rng_a);
+  const DesResult b = simulate_cluster(bridges_cluster(), queue, armed, rng_b);
+  ASSERT_EQ(a.jobs.size(), queue.size());
+  // The no-injector night itself, bit for bit: the fig9/table1 baselines
+  // and every fault-free nightly report rest on this schedule.
+  std::string order;
+  for (const JobRecord& job : a.jobs) order += job_text(job) + '\n';
+  EXPECT_EQ(hex(a.makespan_hours), "0x1.d113688e9d44dp+2");
+  EXPECT_EQ(hex(a.utilization), "0x1.edf7349775076p-1");
+  EXPECT_EQ(stable_label_hash(order), 8196433602778671114ULL);
+  EXPECT_EQ(des_scalars(a), des_scalars(b));
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
+    ASSERT_EQ(job_text(a.jobs[i]), job_text(b.jobs[i])) << "job " << i;
+  }
+  // Completions did finish out of start order on this queue.
+  EXPECT_FALSE(std::is_sorted(a.jobs.begin(), a.jobs.end(),
+                              [](const JobRecord& x, const JobRecord& y) {
+                                return x.end_hours < y.end_hours;
+                              }));
+}
+
+TEST(SlurmSimFaults, CrashCheckpointSchedulePinned) {
+  // The fault path's schedule, pinned: crashes on a small saturated
+  // cluster kill checkpointing jobs, which resume from their last
+  // checkpoint. Job set sorted by task id (start/end in hexfloat) and the
+  // fault accounting; `jobs` order and busy-node-hours are not pinned.
+  const auto tasks = make_workflow_tasks({"VA", "WY", "MD"}, 6, 4, 25.0);
+  FaultSpec spec;
+  spec.enabled = true;
+  spec.seed = 11;
+  spec.node_mtbf_hours = 30.0;
+  spec.node_repair_hours = 0.5;
+  const FaultInjector injector(spec);
+  DesConfig config;
+  config.faults = &injector;
+  config.fault_horizon_hours = 500.0;
+  config.checkpoint.interval_ticks = 30;
+  config.checkpoint.job_ticks = 365;
+  ClusterSpec cluster = bridges_cluster();
+  cluster.nodes = 24;
+  Rng rng(43);
+  const DesResult result = simulate_cluster(cluster, tasks, config, rng);
+  std::vector<JobRecord> jobs = result.jobs;
+  std::sort(jobs.begin(), jobs.end(),
+            [](const JobRecord& x, const JobRecord& y) {
+              return x.task_id < y.task_id;
+            });
+  std::string job_set;
+  for (const JobRecord& job : jobs) job_set += job_text(job) + '\n';
+  ASSERT_EQ(jobs.size(), tasks.size());
+  EXPECT_EQ(stable_label_hash(job_set), 7547716219097112792ULL) << job_set;
+  EXPECT_EQ(result.unfinished, 0u);
+  EXPECT_EQ(result.jobs_requeued, 11u);
+  EXPECT_EQ(hex(result.wasted_node_hours), "0x1.c20fa46d53166p+2");
+  EXPECT_EQ(hex(result.checkpoint_node_hours), "0x1.6c4444444444ep+4");
+  EXPECT_EQ(hex(result.makespan_hours), "0x1.61988e56e8e89p+4");
+}
+
 TEST(SlurmSimFaults, CrashesKillAndRequeueUntilDone) {
   // Long jobs on a small, saturated cluster: crashes must land on busy
   // nodes and the killed jobs must requeue and finish.
@@ -402,6 +518,30 @@ TEST(TransferResilience, DisabledInjectorMatchesSeedArithmetic) {
   EXPECT_DOUBLE_EQ(a, b);
 }
 
+TEST(TransferResilience, ZeroRateInjectorMatchesNoInjector) {
+  FaultSpec zero;
+  zero.enabled = true;
+  const FaultInjector injector(zero);
+  ResilienceLedger ledger;
+  GlobusTransfer plain;
+  GlobusTransfer armed;
+  armed.enable_resilience(&injector, RetryPolicy{}, &ledger);
+  for (const std::uint64_t bytes :
+       {std::uint64_t{0}, std::uint64_t{123'456'789},
+        std::uint64_t{8'700'000'000}}) {
+    const double a = plain.transfer("x", bytes, bytes % 2 == 0);
+    const double b = armed.transfer("x", bytes, bytes % 2 == 0);
+    EXPECT_EQ(hex(a), hex(b)) << bytes << " bytes";
+  }
+  ASSERT_EQ(plain.ledger().size(), armed.ledger().size());
+  for (std::size_t i = 0; i < plain.ledger().size(); ++i) {
+    EXPECT_EQ(armed.ledger()[i].attempts, 1u);
+    EXPECT_EQ(hex(armed.ledger()[i].retry_wait_s), hex(0.0));
+  }
+  EXPECT_EQ(hex(plain.total_seconds()), hex(armed.total_seconds()));
+  EXPECT_EQ(ledger.summary(), ResilienceSummary{});
+}
+
 TEST(TransferResilience, FailuresRetryWithBackoffAndLedger) {
   FaultSpec spec;
   spec.enabled = true;
@@ -489,6 +629,22 @@ TEST(PersonDbResilience, DisabledInjectorBehavesLikeConnect) {
   EXPECT_DOUBLE_EQ(result.wait_s, 0.0);
 }
 
+TEST(PersonDbResilience, ZeroRateInjectorBehavesLikeConnect) {
+  PersonDbServer server(small_population(), 4);
+  FaultSpec zero;
+  zero.enabled = true;
+  const FaultInjector injector(zero);
+  ResilienceLedger ledger;
+  for (int i = 0; i < 3; ++i) {
+    const ResilientConnectResult result =
+        server.connect_resilient(injector, RetryPolicy{}, &ledger);
+    EXPECT_TRUE(result.connection.has_value());
+    EXPECT_EQ(result.attempts, 1u);
+    EXPECT_EQ(hex(result.wait_s), hex(0.0));
+  }
+  EXPECT_EQ(ledger.summary(), ResilienceSummary{});
+}
+
 TEST(PersonDbResilience, DropsRetryThenReconnect) {
   PersonDbServer server(small_population(), 8);
   FaultSpec spec;
@@ -568,6 +724,18 @@ TEST(NightlyResilience, FaultFreeRunsAreIdentical) {
   EXPECT_EQ(report_a, report_b);
   // And the resilience block is all-zero.
   EXPECT_EQ(report_a.resilience, ResilienceSummary{});
+}
+
+TEST(NightlyResilience, ZeroRateInjectorMatchesDefaultBytes) {
+  // Arming the fault model with every rate at 0 must not move one byte of
+  // the report: the DES, the WAN and the person DBs all run their one
+  // path with nothing injected.
+  const WorkflowDesign design = small_design();
+  NightlyConfig armed = small_nightly_config();
+  armed.faults.enabled = true;
+  NightlyWorkflow a(small_nightly_config());
+  NightlyWorkflow b(armed);
+  EXPECT_EQ(serialize(a.run(design)), serialize(b.run(design)));
 }
 
 TEST(NightlyResilience, FaultyRunsAreIdenticalUnderSameSeed) {

@@ -3,7 +3,7 @@
 // Usage:
 //   epitrace report <run_dir> [--json] [--check] [--top K]
 //   epitrace diff <a> <b>
-//   epitrace bench-diff [<baseline_dir>] <candidate_dir>
+//   epitrace check <trace.json> [metrics.json ...]
 //
 // `report` loads <run_dir>/trace.json (+ metrics.json when present) and
 // prints the critical path per phase, lane imbalance, blocked-time
@@ -15,17 +15,20 @@
 // the CI perf gate); when they hold trace.json run outputs it prints an
 // informational run-to-run comparison.
 //
-// `bench-diff` is the explicit gate form; the baseline directory defaults
-// to $EPI_BENCH_BASELINE_DIR, falling back to bench/baselines.
+// `check` structurally validates emitted files (src/obs/trace_check.hpp
+// has the exact rules): each argument ending in "metrics.json" as a
+// metrics snapshot, everything else as a Chrome trace_event document. It
+// prints one summary line per file, plus one line per error.
 //
 // Exit codes: 0 ok, 1 failed check or regression, 2 usage/load error.
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "epitrace/epitrace.hpp"
-#include "util/env.hpp"
+#include "obs/trace_check.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -38,7 +41,7 @@ int usage() {
   std::fputs(
       "usage: epitrace report <run_dir> [--json] [--check] [--top K]\n"
       "       epitrace diff <a> <b>\n"
-      "       epitrace bench-diff [<baseline_dir>] <candidate_dir>\n",
+      "       epitrace check <trace.json> [metrics.json ...]\n",
       stderr);
   return 2;
 }
@@ -124,24 +127,48 @@ int run_diff(const std::string& a, const std::string& b) {
   return 0;
 }
 
-int run_bench_diff(const std::vector<std::string>& args) {
-  std::string baseline_dir;
-  std::string candidate_dir;
-  if (args.size() == 2) {
-    baseline_dir = args[0];
-    candidate_dir = args[1];
-  } else if (args.size() == 1) {
-    const char* env_dir = epi::env_raw("EPI_BENCH_BASELINE_DIR");
-    baseline_dir = env_dir != nullptr ? env_dir : "bench/baselines";
-    candidate_dir = args[0];
-  } else {
-    return usage();
-  }
-  const epi::epitrace::BenchDiffResult result =
-      epi::epitrace::bench_diff(baseline_dir, candidate_dir);
-  const std::string text = epi::epitrace::render_bench_diff(result);
+bool is_metrics_path(std::string_view path) {
+  constexpr std::string_view kSuffix = "metrics.json";
+  return path.size() >= kSuffix.size() &&
+         path.substr(path.size() - kSuffix.size()) == kSuffix;
+}
+
+/// One summary line for `path`, then one line per error.
+void print_check(const std::string& path, bool ok, const std::string& counts,
+                 const std::vector<std::string>& errors) {
+  std::string text =
+      path + ": " + (ok ? "OK" : "FAIL") + " (" + counts + ")\n";
+  for (const std::string& error : errors) text += "    error: " + error + '\n';
   std::fwrite(text.data(), 1, text.size(), stdout);
-  return result.ok ? 0 : 1;
+}
+
+int run_check(const std::vector<std::string>& paths) {
+  if (paths.empty()) return usage();
+  bool all_ok = true;
+  for (const std::string& path : paths) {
+    if (is_metrics_path(path)) {
+      const epi::obs::MetricsCheckResult result =
+          epi::obs::check_metrics_file(path);
+      print_check(path, result.ok,
+                  std::to_string(result.counters) + " counters, " +
+                      std::to_string(result.gauges) + " gauges, " +
+                      std::to_string(result.histograms) + " histograms",
+                  result.errors);
+      all_ok = all_ok && result.ok;
+    } else {
+      const epi::obs::TraceCheckResult result =
+          epi::obs::check_trace_file(path);
+      print_check(path, result.ok,
+                  std::to_string(result.events) + " events: " +
+                      std::to_string(result.spans) + " spans, " +
+                      std::to_string(result.instants) + " instants, " +
+                      std::to_string(result.counters) + " counter samples, " +
+                      std::to_string(result.processes) + " processes",
+                  result.errors);
+      all_ok = all_ok && result.ok;
+    }
+  }
+  return all_ok ? 0 : 1;
 }
 
 }  // namespace
@@ -157,7 +184,7 @@ int main(int argc, char** argv) {
       if (args.size() != 2) return usage();
       return run_diff(args[0], args[1]);
     }
-    if (command == "bench-diff") return run_bench_diff(args);
+    if (command == "check") return run_check(args);
   } catch (const std::exception& error) {
     std::fputs("epitrace: ", stderr);
     std::fputs(error.what(), stderr);
