@@ -50,7 +50,7 @@ int main() {
       "Simulation-farm scaling: calibration cycle vs EPI_JOBS "
       "(deterministic executor, src/exec/)");
 
-  const std::size_t hw = exec::hardware_limit();
+  const std::size_t hw = hardware_limit();
   bench::note("hardware concurrency: " + std::to_string(hw));
 
   bench::JsonReport json("farm_scaling");

@@ -19,21 +19,16 @@ constexpr std::uint64_t kTaCoin = 0x5441ULL;         // "TA"
 constexpr std::uint64_t kCtIndexCoin = 0x435449ULL;  // "CTI"
 constexpr std::uint64_t kCtTraceCoin = 0x435454ULL;  // "CTT"
 
-/// Throws ConfigError naming `type` and the key unless every key of
-/// `spec` is "type" or one of `known`: a misspelled knob must not
-/// silently run at its default.
-void require_known_keys(const Json& spec, const std::string& type,
+}  // namespace
+
+void require_known_keys(const Json& spec, const std::string& what,
                         std::initializer_list<std::string_view> known) {
   for (const auto& [key, value] : spec.as_object()) {
-    if (key == "type" ||
-        std::find(known.begin(), known.end(), key) != known.end()) {
-      continue;
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw ConfigError(what + " has no key '" + key + "'");
     }
-    throw ConfigError("intervention type " + type + " has no key '" + key +
-                      "'");
   }
 }
-}  // namespace
 
 void VoluntaryHomeIsolation::apply(Simulation& sim) {
   if (sim.tick() < config_.start) return;
@@ -329,8 +324,10 @@ std::vector<std::shared_ptr<Intervention>> make_intervention_stack(
 
 std::shared_ptr<Intervention> intervention_from_json(const Json& spec) {
   const std::string type = spec.at("type").as_string();
+  const std::string what = "intervention type " + type;
   if (type == "VHI") {
-    require_known_keys(spec, type, {"compliance", "isolationDays", "start"});
+    require_known_keys(spec, what,
+                       {"type", "compliance", "isolationDays", "start"});
     VoluntaryHomeIsolation::Config c;
     c.compliance = spec.get_double("compliance", c.compliance);
     c.isolation_days =
@@ -339,14 +336,14 @@ std::shared_ptr<Intervention> intervention_from_json(const Json& spec) {
     return std::make_shared<VoluntaryHomeIsolation>(c);
   }
   if (type == "SC") {
-    require_known_keys(spec, type, {"start", "end"});
+    require_known_keys(spec, what, {"type", "start", "end"});
     SchoolClosure::Config c;
     c.start = static_cast<Tick>(spec.get_int("start", c.start));
     c.end = static_cast<Tick>(spec.get_int("end", c.end));
     return std::make_shared<SchoolClosure>(c);
   }
   if (type == "SH") {
-    require_known_keys(spec, type, {"start", "end", "compliance"});
+    require_known_keys(spec, what, {"type", "start", "end", "compliance"});
     StayAtHome::Config c;
     c.start = static_cast<Tick>(spec.get_int("start", c.start));
     c.end = static_cast<Tick>(spec.get_int("end", c.end));
@@ -354,15 +351,15 @@ std::shared_ptr<Intervention> intervention_from_json(const Json& spec) {
     return std::make_shared<StayAtHome>(c);
   }
   if (type == "RO") {
-    require_known_keys(spec, type, {"reopenTick", "level"});
+    require_known_keys(spec, what, {"type", "reopenTick", "level"});
     PartialReopening::Config c;
     c.reopen_tick = static_cast<Tick>(spec.get_int("reopenTick", c.reopen_tick));
     c.level = spec.get_double("level", c.level);
     return std::make_shared<PartialReopening>(c);
   }
   if (type == "TA") {
-    require_known_keys(spec, type,
-                       {"start", "dailyDetection", "isolationDays"});
+    require_known_keys(spec, what,
+                       {"type", "start", "dailyDetection", "isolationDays"});
     TestAndIsolate::Config c;
     c.start = static_cast<Tick>(spec.get_int("start", c.start));
     c.daily_detection = spec.get_double("dailyDetection", c.daily_detection);
@@ -371,8 +368,8 @@ std::shared_ptr<Intervention> intervention_from_json(const Json& spec) {
     return std::make_shared<TestAndIsolate>(c);
   }
   if (type == "PS") {
-    require_known_keys(spec, type,
-                       {"start", "onDays", "offDays", "compliance"});
+    require_known_keys(spec, what,
+                       {"type", "start", "onDays", "offDays", "compliance"});
     PulsingShutdown::Config c;
     c.start = static_cast<Tick>(spec.get_int("start", c.start));
     c.on_days = static_cast<Tick>(spec.get_int("onDays", c.on_days));
@@ -384,8 +381,8 @@ std::shared_ptr<Intervention> intervention_from_json(const Json& spec) {
     return std::make_shared<ScriptedIntervention>(spec);
   }
   if (type == "D1CT" || type == "D2CT") {
-    require_known_keys(spec, type,
-                       {"start", "indexCompliance", "traceCompliance",
+    require_known_keys(spec, what,
+                       {"type", "start", "indexCompliance", "traceCompliance",
                         "isolationDays", "monitorDays"});
     ContactTracing::Config c;
     c.depth = type == "D2CT" ? 2 : 1;

@@ -15,9 +15,11 @@
 // runs exactly.
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "epihiper/simulation.hpp"
@@ -186,8 +188,15 @@ const std::vector<std::string>& intervention_stack_names();
 
 /// Builds one intervention from a JSON spec {"type": "VHI", ...}; the
 /// workflow layer uses this to materialize cell configurations. A
-/// built-in type's spec may hold only "type" and that type's own keys;
-/// any other key throws ConfigError naming the type and the key.
+/// built-in type's spec may hold only "type" and that type's own keys,
+/// and every object of a "scripted" spec only the keys it reads; any
+/// other key throws ConfigError naming the object and the key.
 std::shared_ptr<Intervention> intervention_from_json(const Json& spec);
+
+/// Throws ConfigError "<what> has no key '<key>'" unless every key of the
+/// object `spec` is one of `known`: a misspelled knob must not silently
+/// run at its default.
+void require_known_keys(const Json& spec, const std::string& what,
+                        std::initializer_list<std::string_view> known);
 
 }  // namespace epi

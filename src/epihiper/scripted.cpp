@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "epihiper/interventions.hpp"
 #include "util/error.hpp"
 
 namespace epi {
@@ -47,12 +48,15 @@ struct ScriptedIntervention::Operation {
   static Operation parse(const Json& spec, bool edge_context) {
     Operation op;
     if (spec.contains("isolate")) {
+      require_known_keys(spec, "scripted operation isolate", {"isolate"});
       EPI_REQUIRE(!edge_context, "isolate applies to nodes, not edges");
       op.kind = Kind::kIsolate;
       op.isolate_days = static_cast<Tick>(spec.at("isolate").as_int());
       return op;
     }
     if (spec.contains("setTrait")) {
+      require_known_keys(spec, "scripted operation setTrait",
+                         {"setTrait", "value"});
       EPI_REQUIRE(!edge_context, "setTrait applies to nodes");
       op.kind = Kind::kSetTrait;
       op.trait = spec.at("setTrait").as_string();
@@ -60,6 +64,7 @@ struct ScriptedIntervention::Operation {
       return op;
     }
     if (spec.contains("scale")) {
+      require_known_keys(spec, "scripted operation scale", {"scale", "factor"});
       const std::string what = spec.at("scale").as_string();
       op.factor = spec.at("factor").as_double();
       if (what == "infectivity") {
@@ -77,6 +82,7 @@ struct ScriptedIntervention::Operation {
       return op;
     }
     if (spec.contains("set")) {
+      require_known_keys(spec, "scripted operation set", {"set", "value"});
       const std::string what = spec.at("set").as_string();
       if (what == "active") {
         EPI_REQUIRE(edge_context, "active is an edge attribute");
@@ -94,6 +100,9 @@ struct ScriptedIntervention::Operation {
     if (spec.contains("setVariable")) {
       op.kind = Kind::kSetVariable;
       op.variable = spec.at("setVariable").as_string();
+      const char* const amount = spec.contains("add") ? "add" : "value";
+      require_known_keys(spec, "scripted operation setVariable",
+                         {"setVariable", amount});
       if (spec.contains("add")) {
         op.variable_add = true;
         op.variable_value = spec.at("add").as_double();
@@ -127,6 +136,8 @@ struct ScriptedIntervention::DelayedBlock {
 ScriptedIntervention::~ScriptedIntervention() = default;
 
 ScriptedIntervention::ScriptedIntervention(const Json& spec) {
+  require_known_keys(spec, "intervention type scripted",
+                     {"type", "name", "once", "trigger", "actions"});
   name_ = spec.get_string("name", "scripted");
   once_ = spec.get_bool("once", false);
   EPI_REQUIRE(spec.contains("trigger"), "scripted intervention needs a trigger");
@@ -134,6 +145,9 @@ ScriptedIntervention::ScriptedIntervention(const Json& spec) {
   EPI_REQUIRE(spec.contains("actions"), "scripted intervention needs actions");
   std::size_t index = 0;
   for (const Json& action : spec.at("actions").as_array()) {
+    require_known_keys(action, "scripted action",
+                       {"target", "filter", "sampling", "delay", "operations",
+                        "nonsampledOperations"});
     ActionBlock block;
     block.index = index++;
     const std::string target = action.at("target").as_string();
@@ -146,9 +160,25 @@ ScriptedIntervention::ScriptedIntervention(const Json& spec) {
     } else {
       throw ConfigError("unknown action target: " + target);
     }
-    if (action.contains("filter")) block.filter = action.at("filter");
+    if (action.contains("filter")) {
+      block.filter = action.at("filter");
+      switch (block.target) {
+        case ActionBlock::Target::kNodes:
+          require_known_keys(block.filter, "scripted node filter",
+                             {"healthState", "ageGroup", "county", "trait",
+                              "traitValue"});
+          break;
+        case ActionBlock::Target::kEdges:
+          require_known_keys(block.filter, "scripted edge filter",
+                             {"context", "active", "targetHealthState"});
+          break;
+        case ActionBlock::Target::kOnce:
+          throw ConfigError("a scripted action with target once has no filter");
+      }
+    }
     if (action.contains("sampling")) {
       const Json& sampling = action.at("sampling");
+      require_known_keys(sampling, "scripted sampling", {"type", "value"});
       const std::string kind = sampling.at("type").as_string();
       // Only fraction sampling is supported: an exact "absolute" count
       // would require global coordination that EpiHiper also avoids.

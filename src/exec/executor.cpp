@@ -12,11 +12,6 @@ std::size_t resolve_jobs(std::size_t config_jobs) {
   return config_jobs != 0 ? config_jobs : jobs_from_env();
 }
 
-std::size_t hardware_limit() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
 std::size_t effective_workers(std::size_t jobs, std::size_t ranks_per_task,
                               std::size_t items) {
   std::size_t workers = jobs == 0 ? 1 : jobs;

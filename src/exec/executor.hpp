@@ -56,6 +56,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace epi::exec {
@@ -96,9 +97,6 @@ std::size_t jobs_from_env();
 
 /// config_jobs when nonzero, else jobs_from_env().
 std::size_t resolve_jobs(std::size_t config_jobs);
-
-/// std::thread::hardware_concurrency(), floored at 1.
-std::size_t hardware_limit();
 
 /// Worker count actually used for `items` tasks: `jobs`, capped by the
 /// item count, and — when ranks_per_task > 1 — capped so that

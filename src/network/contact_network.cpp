@@ -7,32 +7,17 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
+#include "util/parallel.hpp"
 
 namespace epi {
 
 namespace {
 const char* const kActivityNames[kActivityTypeCount] = {
     "home", "work", "shopping", "other", "school", "college", "religion"};
-
-// A counting scatter uses the offsets array itself as the write cursors.
-// Call open_buckets when offsets[b + 1] holds the size of bucket b; then
-// offsets[b] is bucket b's first slot, and the caller writes each element
-// at offsets[b]++. That leaves offsets[b] at bucket b's end, which is
-// bucket b + 1's start, so close_buckets shifts the array back by one.
-void open_buckets(std::vector<EdgeIndex>& offsets) {
-  for (std::size_t b = 1; b < offsets.size(); ++b) {
-    offsets[b] += offsets[b - 1];
-  }
-}
-
-void close_buckets(std::vector<EdgeIndex>& offsets) {
-  std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
-  offsets.front() = 0;
-}
 }  // namespace
 
 const char* activity_name(ActivityType a) {
@@ -49,30 +34,25 @@ ActivityType activity_from_name(const std::string& name) {
 }
 
 EdgeIndex ContactNetwork::build_out_edges() {
-  // Counting sort of edge indices by source; visiting e in ascending order
-  // leaves every bucket ascending, which the frontier kernel relies on to
-  // reproduce the in-CSR scan's edge order exactly. The counting pass also
-  // vets each edge, so a loaded file costs no extra pass; it is bound on
-  // its scattered increments, so the checks stay a few instructions.
-  out_offsets_.assign(static_cast<std::size_t>(node_count_) + 1, 0);
+  // A stable scatter of edge indices by source, so every bucket lists its
+  // edges ascending, which the frontier kernel relies on to reproduce the
+  // in-CSR scan's edge order exactly. An edge whose source is not a node or
+  // whose activity is unknown maps past the last bucket, so the scatter's
+  // counting pass vets every edge and a loaded file costs no extra pass.
+  const Contact* const contacts = contacts_.data();
   const PersonId nodes = node_count_;
-  EdgeIndex* const out_degree = out_offsets_.data() + 1;
-  const Contact* const first = contacts_.data();
-  const Contact* const last = first + contacts_.size();
-  for (const Contact* c = first; c != last; ++c) {
-    if (c->source >= nodes || c->source_activity >= kActivityTypeCount ||
-        c->target_activity >= kActivityTypeCount) [[unlikely]] {
-      return static_cast<EdgeIndex>(c - first);
-    }
-    ++out_degree[c->source];
-  }
-  open_buckets(out_offsets_);
   out_edges_.resize(contacts_.size());
-  for (EdgeIndex e = 0; e < contacts_.size(); ++e) {
-    out_edges_[out_offsets_[contacts_[e].source]++] = e;
-  }
-  close_buckets(out_offsets_);
-  return edge_count();
+  EdgeIndex* const out = out_edges_.data();
+  return stable_scatter(
+      contacts_.size(), nodes, workers_for(contacts_.size(), kScatterGrain),
+      [contacts, nodes](std::size_t e) -> std::size_t {
+        const Contact& c = contacts[e];
+        const bool known = c.source_activity < kActivityTypeCount &&
+                           c.target_activity < kActivityTypeCount;
+        return known ? c.source : nodes;
+      },
+      [out](std::size_t e, std::uint64_t slot) { out[slot] = e; },
+      out_offsets_);
 }
 
 PersonId ContactNetwork::target_of(EdgeIndex e, PersonId first) const {
@@ -138,43 +118,69 @@ void ContactNetwork::write_csv(std::ostream& out) const {
   }
 }
 
+namespace {
+/// Reads an integer cell of the contact CSV and checks it is in [lo, hi]
+/// before it is narrowed.
+std::int64_t csv_int_in(const CsvTable& table, std::size_t row,
+                        std::string_view column, std::int64_t lo,
+                        std::int64_t hi) {
+  const std::int64_t value = table.cell_int(row, column);
+  if (value < lo || value > hi) {
+    throw ConfigError("contact CSV data row " + std::to_string(row + 1) +
+                      ", column " + std::string(column) + ": " +
+                      std::to_string(value) + " is outside [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return value;
+}
+}  // namespace
+
 ContactNetwork ContactNetwork::read_csv(std::istream& in, PersonId node_count) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const CsvTable table = parse_csv(buffer.str());
   // The CSV carries each directed edge explicitly; rebuild CSR directly
   // instead of via the builder (which would double them).
+  const std::int64_t last_person = static_cast<std::int64_t>(node_count) - 1;
+  constexpr std::int64_t kMaxMinutes =
+      std::numeric_limits<std::uint16_t>::max();
   std::vector<std::pair<PersonId, Contact>> edges;
   edges.reserve(table.row_count());
   for (std::size_t row = 0; row < table.row_count(); ++row) {
-    const auto target = static_cast<PersonId>(table.cell_int(row, "targetPID"));
-    EPI_REQUIRE(target < node_count, "targetPID out of range: " << target);
+    const auto target = static_cast<PersonId>(
+        csv_int_in(table, row, "targetPID", 0, last_person));
     Contact c;
-    c.source = static_cast<PersonId>(table.cell_int(row, "sourcePID"));
-    EPI_REQUIRE(c.source < node_count, "sourcePID out of range: " << c.source);
+    c.source = static_cast<PersonId>(
+        csv_int_in(table, row, "sourcePID", 0, last_person));
     c.target_activity = static_cast<std::uint8_t>(
         activity_from_name(table.cell(row, table.column("targetActivity"))));
     c.source_activity = static_cast<std::uint8_t>(
         activity_from_name(table.cell(row, table.column("sourceActivity"))));
-    c.start_minute = static_cast<std::uint16_t>(table.cell_int(row, "start"));
-    c.duration_minutes =
-        static_cast<std::uint16_t>(table.cell_int(row, "duration"));
-    c.weight = static_cast<float>(table.cell_double(row, "weight"));
+    c.start_minute = static_cast<std::uint16_t>(
+        csv_int_in(table, row, "start", 0, kMaxMinutes));
+    c.duration_minutes = static_cast<std::uint16_t>(
+        csv_int_in(table, row, "duration", 0, kMaxMinutes));
+    const double weight = table.cell_double(row, "weight");
+    if (!(weight >= 0.0 && weight <= std::numeric_limits<float>::max())) {
+      throw ConfigError("contact CSV data row " + std::to_string(row + 1) +
+                        ", column weight: " + table.cell(row, "weight") +
+                        " is not a finite non-negative float");
+    }
+    c.weight = static_cast<float>(weight);
     edges.emplace_back(target, c);
   }
-  // Counting scatter: each bucket keeps its rows in file order.
+  // Each bucket keeps its rows in file order.
   ContactNetwork net;
   net.node_count_ = node_count;
-  net.offsets_.assign(static_cast<std::size_t>(node_count) + 1, 0);
-  for (const auto& [target, contact] : edges) {
-    ++net.offsets_[static_cast<std::size_t>(target) + 1];
-  }
-  open_buckets(net.offsets_);
   net.contacts_.resize(edges.size());
-  for (const auto& [target, contact] : edges) {
-    net.contacts_[net.offsets_[target]++] = contact;
-  }
-  close_buckets(net.offsets_);
+  Contact* const out = net.contacts_.data();
+  stable_scatter(
+      edges.size(), node_count, workers_for(edges.size(), kScatterGrain),
+      [&edges](std::size_t r) -> std::size_t { return edges[r].first; },
+      [&edges, out](std::size_t r, std::uint64_t slot) {
+        out[slot] = edges[r].second;
+      },
+      net.offsets_);
   net.build_out_edges();
   return net;
 }
@@ -272,43 +278,52 @@ void ContactNetworkBuilder::add_contact(PersonId u, PersonId v,
   EPI_REQUIRE(u < node_count_ && v < node_count_,
               "contact endpoint out of range: " << u << ", " << v);
   EPI_REQUIRE(u != v, "self-contact not allowed: " << u);
-  pending_.push_back({u, v, start_minute, duration_minutes,
-                      static_cast<std::uint8_t>(u_activity),
-                      static_cast<std::uint8_t>(v_activity), weight});
+  const std::uint64_t slot = count_ & (kBlockSize - 1);
+  if (slot == 0) {
+    blocks_.push_back(
+        std::make_unique_for_overwrite<PendingContact[]>(kBlockSize));
+  }
+  blocks_.back()[slot] = {u, v, start_minute, duration_minutes,
+                          static_cast<std::uint8_t>(u_activity),
+                          static_cast<std::uint8_t>(v_activity), weight};
+  ++count_;
 }
 
 ContactNetwork ContactNetworkBuilder::finalize() && {
-  // Counting scatter: size every target's bucket, then write each
-  // contact's two directed edges at their buckets' next slots in insertion
-  // order — stable by construction, so no sort is needed.
+  // Half-edge 2i is contact i's u->v, in v's bucket, and 2i + 1 its v->u,
+  // in u's bucket. The stable scatter keeps that interleaved order inside
+  // every bucket, so no sort is needed.
   ContactNetwork net;
   net.node_count_ = node_count_;
-  net.offsets_.assign(static_cast<std::size_t>(node_count_) + 1, 0);
-  for (const PendingContact& p : pending_) {
-    ++net.offsets_[static_cast<std::size_t>(p.v) + 1];
-    ++net.offsets_[static_cast<std::size_t>(p.u) + 1];
-  }
-  open_buckets(net.offsets_);
-  net.contacts_.resize(2 * pending_.size());
-  for (const PendingContact& p : pending_) {
-    Contact to_v;
-    to_v.source = p.u;
-    to_v.start_minute = p.start_minute;
-    to_v.duration_minutes = p.duration_minutes;
-    to_v.source_activity = p.u_activity;
-    to_v.target_activity = p.v_activity;
-    to_v.weight = p.weight;
-    net.contacts_[net.offsets_[p.v]++] = to_v;
-
-    Contact to_u = to_v;
-    to_u.source = p.v;
-    to_u.source_activity = p.v_activity;
-    to_u.target_activity = p.u_activity;
-    net.contacts_[net.offsets_[p.u]++] = to_u;
-  }
-  close_buckets(net.offsets_);
+  const std::uint64_t half_edges = 2 * count_;
+  net.contacts_.resize(half_edges);
+  Contact* const out = net.contacts_.data();
+  const auto pending = [this](std::uint64_t j) -> const PendingContact& {
+    const std::uint64_t i = j >> 1;
+    return blocks_[i / kBlockSize][i & (kBlockSize - 1)];
+  };
+  stable_scatter(
+      half_edges, node_count_, workers_for(half_edges, kScatterGrain),
+      [&pending](std::size_t j) -> std::size_t {
+        const PendingContact& p = pending(j);
+        return (j & 1) != 0 ? p.u : p.v;
+      },
+      [&pending, out](std::size_t j, std::uint64_t slot) {
+        const PendingContact& p = pending(j);
+        const bool to_u = (j & 1) != 0;
+        Contact c;
+        c.source = to_u ? p.v : p.u;
+        c.start_minute = p.start_minute;
+        c.duration_minutes = p.duration_minutes;
+        c.source_activity = to_u ? p.v_activity : p.u_activity;
+        c.target_activity = to_u ? p.u_activity : p.v_activity;
+        c.weight = p.weight;
+        out[slot] = c;
+      },
+      net.offsets_);
   // Release the contacts before the transpose allocates.
-  std::vector<PendingContact>().swap(pending_);
+  std::vector<std::unique_ptr<PendingContact[]>>().swap(blocks_);
+  count_ = 0;
   net.build_out_edges();
   return net;
 }

@@ -19,9 +19,12 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "util/parallel.hpp"
 
 namespace epi {
 
@@ -114,6 +117,10 @@ class ContactNetwork {
   /// Writes the paper's CSV edge format:
   /// targetPID,sourcePID,targetActivity,sourceActivity,start,duration,weight
   void write_csv(std::ostream& out) const;
+  /// Reads that format. Each bucket keeps its rows in file order. PIDs must
+  /// be in [0, node_count), start and duration in [0, 65535], and weight a
+  /// finite non-negative float; otherwise ConfigError names the row and
+  /// the column.
   static ContactNetwork read_csv(std::istream& in, PersonId node_count);
 
   /// Compact binary format ("due to its large size, [the network] is in
@@ -169,19 +176,25 @@ class ContactNetwork {
     mutable std::atomic<std::uint64_t> value_{0};
   };
 
-  /// Builds the out-edge transpose. Returns the index of the first edge
-  /// whose source is not a node or whose activity is unknown (the
-  /// transpose is then unusable), or edge_count() when every edge is
-  /// well formed. Only read_binary can meet such an edge.
+  /// Builds the out-edge transpose, on several threads when the network is
+  /// large. Returns the index of the first edge whose source is not a node
+  /// or whose activity is unknown (the transpose is then unusable), or
+  /// edge_count() when every edge is well formed. Only read_binary can
+  /// meet such an edge.
   EdgeIndex build_out_edges();
 
+  // The arrays are sized unwritten and then filled completely, by a
+  // scatter or a file read, so no serial pass touches them first.
+  template <typename T>
+  using Array = std::vector<T, UninitializedAllocator<T>>;
+
   PersonId node_count_ = 0;
-  std::vector<EdgeIndex> offsets_;  // node_count_ + 1 entries
-  std::vector<Contact> contacts_;  // grouped by target node
+  Array<EdgeIndex> offsets_;  // node_count_ + 1 entries
+  Array<Contact> contacts_;   // grouped by target node
   // Transpose: out_edges_[out_offsets_[u] .. out_offsets_[u+1]) are the
   // ascending indices of the edges sourced at u.
-  std::vector<EdgeIndex> out_offsets_;  // node_count_ + 1 entries
-  std::vector<EdgeIndex> out_edges_;    // edge_count() entries
+  Array<EdgeIndex> out_offsets_;  // node_count_ + 1 entries
+  Array<EdgeIndex> out_edges_;    // edge_count() entries
   HashMemo hash_;
 };
 
@@ -197,9 +210,10 @@ class ContactNetworkBuilder {
                    std::uint16_t duration_minutes, ActivityType u_activity,
                    ActivityType v_activity, float weight = 1.0f);
 
-  std::uint64_t contact_count() const { return pending_.size(); }
+  std::uint64_t contact_count() const { return count_; }
 
-  /// Builds the CSR network in O(nodes + contacts). The builder is
+  /// Builds the CSR network in O(nodes + contacts), on several threads
+  /// when the network is large (util/parallel.hpp). The builder is
   /// consumed. Bucket order: contact i contributes u->v to v's bucket and
   /// v->u to u's bucket, and every bucket lists its edges in the order
   /// their contacts were added — the order a stable sort by target of the
@@ -217,8 +231,12 @@ class ContactNetworkBuilder {
     std::uint8_t v_activity;
     float weight;
   };
+  /// Contacts are kept in fixed blocks, so adding one never copies the
+  /// ones before it.
+  static constexpr std::uint64_t kBlockSize = std::uint64_t{1} << 16;
   PersonId node_count_;
-  std::vector<PendingContact> pending_;
+  std::uint64_t count_ = 0;
+  std::vector<std::unique_ptr<PendingContact[]>> blocks_;
 };
 
 /// Per-context directed-edge counts plus degree summary — the numbers

@@ -2,7 +2,20 @@
 
 #include <algorithm>
 
+#include "util/error.hpp"
+
 namespace epi {
+
+DaySchedule::DaySchedule(std::initializer_list<Activity> activities) {
+  for (const Activity& a : activities) push_back(a);
+}
+
+void DaySchedule::push_back(const Activity& activity) {
+  EPI_REQUIRE(size_ < kMaxActivitiesPerDay,
+              "a day schedule holds at most " << kMaxActivitiesPerDay
+                                              << " activities");
+  items_[size_++] = activity;
+}
 
 namespace {
 

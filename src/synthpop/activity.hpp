@@ -12,8 +12,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <initializer_list>
 
 #include "network/contact_network.hpp"  // ActivityType
 #include "synthpop/population.hpp"      // Occupation
@@ -32,9 +33,28 @@ struct Activity {
   }
 };
 
+/// Most activities a schedule template puts in one day.
+inline constexpr std::size_t kMaxActivitiesPerDay = 3;
+
 /// Activities of one person for one day, ordered, non-overlapping; gaps
-/// are implicitly at Home.
-using DaySchedule = std::vector<Activity>;
+/// are implicitly at Home. Held inline, so a schedule allocates nothing:
+/// adding a fourth activity throws Error.
+class DaySchedule {
+ public:
+  DaySchedule() = default;
+  DaySchedule(std::initializer_list<Activity> activities);
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  const Activity& back() const { return items_[size_ - 1]; }
+  const Activity* begin() const { return items_.data(); }
+  const Activity* end() const { return items_.data() + size_; }
+  void push_back(const Activity& activity);
+
+ private:
+  std::array<Activity, kMaxActivitiesPerDay> items_{};
+  std::uint8_t size_ = 0;
+};
 
 /// A week of schedules. Day 0 = Monday ... day 6 = Sunday; Wednesday
 /// (day 2) is the paper's "typical day" used for the network projection.

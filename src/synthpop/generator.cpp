@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <tuple>
 
 #include "synthpop/ipf.hpp"
+#include "synthpop/visits.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/parallel.hpp"
 
 namespace epi {
 
@@ -56,14 +59,60 @@ int sample_age_in_group(AgeGroup group, Rng& rng) {
   return 30;
 }
 
-// One person's presence at a location during the projection day.
-struct Visit {
-  LocationId location;
-  PersonId person;
-  std::uint16_t start;
-  std::uint16_t end;
-  ActivityType person_activity;  // what this person is doing there
-};
+/// Day `day`'s visits in ascending person order. Each person draws from
+/// a stream of its own, so person ranges run on workers_for(persons,
+/// kVisitGrain) threads and their runs are joined in range order. Every
+/// run is reserved on the calling thread for its most visits, so workers
+/// allocate nothing.
+std::vector<Visit> day_visits(const std::vector<PersonTraits>& persons,
+                              const std::vector<LocationId>& anchor,
+                              const std::vector<bool>& has_anchor,
+                              const LocationModel& locations, const Rng& rng,
+                              int day) {
+  const std::size_t workers = workers_for(persons.size(), kVisitGrain);
+  std::vector<std::vector<Visit>> runs(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    runs[w].reserve(kMaxActivitiesPerDay *
+                    (slice_begin(persons.size(), workers, w + 1) -
+                     slice_begin(persons.size(), workers, w)));
+  }
+  run_workers(workers, [&](std::size_t w) {
+    // Filled through a stack copy: neighbouring runs' headers share a
+    // cache line, and every push_back would write it.
+    std::vector<Visit> run = std::move(runs[w]);
+    const auto begin =
+        static_cast<PersonId>(slice_begin(persons.size(), workers, w));
+    const auto end =
+        static_cast<PersonId>(slice_begin(persons.size(), workers, w + 1));
+    for (PersonId p = begin; p < end; ++p) {
+      Rng person_rng = rng.derive({0x414354ULL, p});  // "ACT"
+      const WeekSchedule week = assign_week_schedule(
+          static_cast<Occupation>(persons[p].occupation), person_rng);
+      for (const Activity& a : week.days[static_cast<std::size_t>(day)]) {
+        if (a.type == ActivityType::kHome) continue;
+        LocationId where;
+        if ((a.type == ActivityType::kWork || a.type == ActivityType::kSchool ||
+             a.type == ActivityType::kCollege) &&
+            has_anchor[p]) {
+          where = anchor[p];
+        } else {
+          where = locations.assign(persons[p].county, a.type, person_rng);
+        }
+        run.push_back(Visit{where, p, a.start_minute, a.end_minute(), a.type});
+      }
+    }
+    runs[w] = std::move(run);
+  });
+  if (workers == 1) return std::move(runs.front());
+  std::size_t total = 0;
+  for (const std::vector<Visit>& run : runs) total += run.size();
+  std::vector<Visit> visits;
+  visits.reserve(total);
+  for (const std::vector<Visit>& run : runs) {
+    visits.insert(visits.end(), run.begin(), run.end());
+  }
+  return visits;
+}
 
 }  // namespace
 
@@ -178,6 +227,8 @@ SyntheticRegion generate_region(const SynthPopConfig& config) {
   std::vector<PersonTraits> persons;
   std::vector<Household> households;
   persons.reserve(target_persons);
+  // One household's age groups; sizes run 1 .. hh_dist.size().
+  std::array<AgeGroup, std::tuple_size_v<decltype(hh_dist)>> groups{};
   const std::vector<double> hh_weights(hh_dist.begin(), hh_dist.end());
   for (std::size_t c = 0; c < num_counties; ++c) {
     std::uint64_t remaining = county_target[c];
@@ -197,7 +248,6 @@ SyntheticRegion generate_region(const SynthPopConfig& config) {
       // until it contains a resident adult, so households with children are
       // never unsupervised and the marginal age distribution stays close
       // to the IPF targets (forcing a member to adult would skew it).
-      std::vector<AgeGroup> groups(size);
       const auto& conditional = age_given_size[static_cast<std::size_t>(size - 1)];
       for (int attempt = 0; attempt < 50; ++attempt) {
         bool has_adult = false;
@@ -325,46 +375,25 @@ SyntheticRegion generate_region(const SynthPopConfig& config) {
   } else {
     days.push_back(config.projection_day);
   }
-  std::vector<Visit> visits;
+  std::vector<std::size_t> order;  // one location group's visit order
   for (const int day : days) {
-    visits.clear();
-    visits.reserve(persons.size());
-    for (PersonId p = 0; p < persons.size(); ++p) {
-      Rng person_rng = rng.derive({0x414354ULL, p});  // "ACT"
-      const WeekSchedule week = assign_week_schedule(
-          static_cast<Occupation>(persons[p].occupation), person_rng);
-      for (const Activity& a : week.days[static_cast<std::size_t>(day)]) {
-        if (a.type == ActivityType::kHome) continue;
-        LocationId where;
-        if ((a.type == ActivityType::kWork || a.type == ActivityType::kSchool ||
-             a.type == ActivityType::kCollege) &&
-            has_anchor[p]) {
-          where = anchor[p];
-        } else {
-          where = locations.assign(persons[p].county, a.type, person_rng);
-        }
-        visits.push_back(
-            Visit{where, p, a.start_minute, a.end_minute(), a.type});
-      }
-    }
+    const std::vector<Visit> by_person =
+        day_visits(persons, anchor, has_anchor, locations, rng, day);
+    const DayVisits grouped =
+        group_by_location(by_person, locations.location_count(),
+                          workers_for(by_person.size(), kScatterGrain));
+    const std::vector<Visit>& visits = grouped.visits;
 
     // --- Contact inference: sub-location co-occupancy for this day -------
-    std::sort(visits.begin(), visits.end(), [](const Visit& a, const Visit& b) {
-      return a.location < b.location ||
-             (a.location == b.location && a.person < b.person);
-    });
-    std::size_t group_begin = 0;
-    while (group_begin < visits.size()) {
-      std::size_t group_end = group_begin;
-      while (group_end < visits.size() &&
-             visits[group_end].location == visits[group_begin].location) {
-        ++group_end;
-      }
-      const Location& loc = locations.location(visits[group_begin].location);
+    for (LocationId l = 0; l < locations.location_count(); ++l) {
+      const std::uint64_t group_begin = grouped.offsets[l];
+      const std::uint64_t group_end = grouped.offsets[l + 1];
+      if (group_begin == group_end) continue;
+      const Location& loc = locations.location(l);
       const std::size_t group_size = group_end - group_begin;
       // Shuffle visitors, then chunk into sub-locations of bounded capacity;
       // Erdos-Renyi within each chunk targets the context's mean degree.
-      std::vector<std::size_t> order(group_size);
+      order.resize(group_size);
       std::iota(order.begin(), order.end(), group_begin);
       rng.shuffle(order.begin(), order.end());
       const std::size_t capacity = loc.sublocation_capacity;
@@ -389,7 +418,6 @@ SyntheticRegion generate_region(const SynthPopConfig& config) {
           }
         }
       }
-      group_begin = group_end;
     }
   }
 

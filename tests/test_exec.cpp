@@ -60,7 +60,7 @@ TEST(Executor, EffectiveWorkersCaps) {
   EXPECT_EQ(exec::effective_workers(8, 1, 100), 8u);
   // Rank-parallel tasks (mpilite ranks are threads): workers x ranks is
   // capped against hardware concurrency, never below one worker.
-  const std::size_t hw = exec::hardware_limit();
+  const std::size_t hw = hardware_limit();
   const std::size_t capped = exec::effective_workers(64, 4, 1000);
   EXPECT_LE(capped * 4, std::max<std::size_t>(hw, 4));
   EXPECT_GE(capped, 1u);

@@ -37,7 +37,10 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_check.hpp"
+#include "synthpop/generator.hpp"
+#include "synthpop/visits.hpp"
 #include "util/json.hpp"
+#include "util/parallel.hpp"
 
 namespace epi::mpilite {
 namespace {
@@ -476,6 +479,27 @@ TEST(MpiliteShm, RefusesToForkAThreadedParent) {
   wake.notify_one();
   parked.join();
   EXPECT_NO_THROW(Runtime::run(2, body));
+}
+
+TEST(MpiliteShm, LaunchesAfterAParallelRegionBuild) {
+  // The region build runs its large steps on worker threads and joins
+  // them before it returns, so the launcher's fork guard must not see
+  // them: the shm run right after the build goes ahead.
+  if (hardware_limit() < 2) GTEST_SKIP() << "one core: the build stays serial";
+  BackendGuard shm("shm");
+  SynthPopConfig config;
+  config.region = "VA";
+  config.scale = 1.0 / 40.0;
+  const SyntheticRegion region = generate_region(config);
+  ASSERT_GE(workers_for(region.population.person_count(), kVisitGrain), 2u);
+  ASSERT_GE(workers_for(region.network.edge_count(), kScatterGrain), 2u);
+  const auto edges = static_cast<std::int64_t>(region.network.edge_count());
+  std::int64_t total = 0;  // rank 0 runs in this process
+  EXPECT_NO_THROW(Runtime::run(2, [&](Comm& comm) {
+    const std::int64_t sum = comm.allreduce(edges, ReduceOp::kSum);
+    if (comm.rank() == 0) total = sum;
+  }));
+  EXPECT_EQ(total, 2 * edges);
 }
 
 // ------------------------------------------------ 64-bit traffic sizes ---

@@ -15,6 +15,7 @@
 
 #include "synthpop/generator.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace epi {
@@ -249,6 +250,152 @@ TEST(ContactNetwork, ReadCsvKeepsFileOrderWithinBuckets) {
                     stable_reference(half_edges));
 }
 
+// --- The stable bucket scatter at forced worker counts -----------------
+
+constexpr std::size_t kForcedWorkers[] = {1, 2, 3, 4, 7};
+
+/// Scatters `buckets_of` (entry j goes to bucket buckets_of[j]) on
+/// `workers` threads; returns the entries in output order.
+std::vector<std::size_t> scatter_entries(
+    const std::vector<std::size_t>& buckets_of, std::size_t buckets,
+    std::size_t workers, std::vector<std::uint64_t>& offsets) {
+  std::vector<std::size_t> out(buckets_of.size(), buckets_of.size());
+  const std::size_t bad = stable_scatter(
+      buckets_of.size(), buckets, workers,
+      [&](std::size_t j) { return buckets_of[j]; },
+      [&](std::size_t j, std::uint64_t slot) { out[slot] = j; }, offsets);
+  EXPECT_EQ(bad, buckets_of.size());
+  return out;
+}
+
+/// Checks the scatter of `buckets_of` against a stable sort by bucket at
+/// every forced worker count.
+void expect_stable_scatter(const std::vector<std::size_t>& buckets_of,
+                           std::size_t buckets) {
+  std::vector<std::size_t> expected(buckets_of.size());
+  for (std::size_t j = 0; j < expected.size(); ++j) expected[j] = j;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return buckets_of[a] < buckets_of[b];
+                   });
+  std::vector<std::uint64_t> expected_offsets(buckets + 1, 0);
+  for (const std::size_t b : buckets_of) ++expected_offsets[b + 1];
+  for (std::size_t b = 0; b < buckets; ++b) {
+    expected_offsets[b + 1] += expected_offsets[b];
+  }
+  for (const std::size_t workers : kForcedWorkers) {
+    std::vector<std::uint64_t> offsets;
+    EXPECT_EQ(scatter_entries(buckets_of, buckets, workers, offsets), expected)
+        << workers << " workers";
+    EXPECT_EQ(offsets, expected_offsets) << workers << " workers";
+  }
+}
+
+TEST(StableScatter, NoEntries) {
+  expect_stable_scatter({}, 0);
+  expect_stable_scatter({}, 5);
+}
+
+TEST(StableScatter, FewerEntriesThanWorkers) {
+  expect_stable_scatter({2, 0, 2}, 5);
+}
+
+TEST(StableScatter, EmptyBucketsAndHubBucket) {
+  Rng rng(11);
+  std::vector<std::size_t> spread, hub;
+  for (int j = 0; j < 5000; ++j) {
+    // Buckets 40..59 and 90..99 stay empty.
+    const std::size_t b = rng.uniform_index(70);
+    spread.push_back(b < 40 ? b : b + 20);
+    // One hub bucket holds about 90% of the entries.
+    hub.push_back(rng.bernoulli(0.9) ? 7 : rng.uniform_index(100));
+  }
+  expect_stable_scatter(spread, 100);
+  expect_stable_scatter(hub, 100);
+}
+
+TEST(StableScatter, ReportsFirstEntryOutsideTheBuckets) {
+  for (const std::size_t workers : kForcedWorkers) {
+    std::vector<std::uint64_t> offsets;
+    bool placed = false;
+    const std::vector<std::size_t> buckets_of = {0, 1, 2, 9, 1, 9, 0, 2};
+    EXPECT_EQ(stable_scatter(
+                  buckets_of.size(), 3, workers,
+                  [&](std::size_t j) { return buckets_of[j]; },
+                  [&](std::size_t, std::uint64_t) { placed = true; }, offsets),
+              3u)
+        << workers << " workers";
+    EXPECT_FALSE(placed);
+  }
+}
+
+TEST(StableScatter, FinalizeOrderAtForcedWorkerCounts) {
+  // The builder's half-edge scatter, run at worker counts the machine
+  // would not pick for 200 nodes, gives finalize()'s CSR exactly.
+  const auto [net, half_edges] = random_multigraph(2021);
+  std::vector<std::size_t> targets;
+  for (const HalfEdge& h : half_edges) targets.push_back(h.target);
+  for (const std::size_t workers : kForcedWorkers) {
+    std::vector<std::uint64_t> offsets;
+    const std::vector<std::size_t> order =
+        scatter_entries(targets, net.node_count(), workers, offsets);
+    ASSERT_EQ(order.size(), net.edge_count());
+    for (EdgeIndex e = 0; e < net.edge_count(); ++e) {
+      EXPECT_EQ(std::memcmp(&net.contact(e), &half_edges[order[e]].contact,
+                            sizeof(Contact)),
+                0)
+          << workers << " workers, edge " << e;
+    }
+    for (PersonId v = 0; v <= net.node_count(); ++v) {
+      EXPECT_EQ(offsets[v], v < net.node_count() ? net.in_begin(v)
+                                                 : net.edge_count());
+    }
+  }
+}
+
+TEST(StableScatter, TransposeOfAsymmetricBinaryAtForcedWorkerCounts) {
+  // One-way edges, a hub source and isolated nodes, loaded through
+  // read_binary: its transpose, and the scatter at every forced worker
+  // count, list each source's edges ascending.
+  constexpr PersonId kNodes = 300;
+  Rng rng(5);
+  std::stringstream csv;
+  csv << "targetPID,sourcePID,targetActivity,sourceActivity,start,duration,"
+         "weight\n";
+  for (int i = 0; i < 4000; ++i) {
+    const auto target = static_cast<PersonId>(rng.uniform_index(kNodes - 20));
+    const auto source =
+        rng.bernoulli(0.6)
+            ? PersonId{3}
+            : static_cast<PersonId>(rng.uniform_index(kNodes - 20));
+    csv << target << ',' << source << ",work,shopping,"
+        << rng.uniform_index(1440) << ",30,1\n";
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "episcale_test_asym.bin")
+          .string();
+  ContactNetwork::read_csv(csv, kNodes).write_binary(path);
+  const ContactNetwork net = ContactNetwork::read_binary(path);
+  std::filesystem::remove(path);
+  std::vector<std::size_t> sources;
+  for (EdgeIndex e = 0; e < net.edge_count(); ++e) {
+    sources.push_back(net.contact(e).source);
+  }
+  std::vector<EdgeIndex> loaded;
+  for (PersonId u = 0; u < kNodes; ++u) {
+    const auto edges = net.out_edges_of(u);
+    loaded.insert(loaded.end(), edges.begin(), edges.end());
+  }
+  expect_stable_scatter(sources, kNodes);
+  std::vector<std::uint64_t> offsets;
+  const std::vector<std::size_t> order =
+      scatter_entries(sources, kNodes, 4, offsets);
+  EXPECT_TRUE(std::equal(order.begin(), order.end(), loaded.begin(),
+                         loaded.end()));
+  EXPECT_GT(net.out_degree(3), net.edge_count() / 2);
+  EXPECT_EQ(net.out_degree(kNodes - 1), 0u);
+}
+
 TEST(ContactNetwork, ContentHashMemoSafeAcrossThreads) {
   const ContactNetwork shared = random_multigraph(3).first;
   const std::uint64_t expected = random_multigraph(3).first.content_hash();
@@ -295,6 +442,19 @@ TEST(ContactNetwork, CsvRoundTrip) {
   EXPECT_EQ(restored.content_hash(), net.content_hash());
 }
 
+TEST(ContactNetwork, CsvRoundTripOfGeneratedNetwork) {
+  SynthPopConfig config;
+  config.region = "WY";
+  config.scale = 1.0 / 400.0;
+  const ContactNetwork net = generate_region(config).network;
+  std::stringstream buffer;
+  net.write_csv(buffer);
+  const ContactNetwork restored =
+      ContactNetwork::read_csv(buffer, net.node_count());
+  EXPECT_EQ(restored.edge_count(), net.edge_count());
+  EXPECT_EQ(restored.content_hash(), net.content_hash());
+}
+
 TEST(ContactNetwork, BinaryRoundTrip) {
   const ContactNetwork net = make_line_network(12);
   const std::string path = "/tmp/episcale_test_net.bin";
@@ -333,6 +493,51 @@ std::string config_error(const std::function<void()>& read) {
     return e.what();
   }
   return "";
+}
+
+/// read_csv's ConfigError for a one-row network of 4 nodes whose row is
+/// `row`; it must name the data row and `column`.
+std::string csv_row_error(const std::string& row, const std::string& column) {
+  std::stringstream csv;
+  csv << "targetPID,sourcePID,targetActivity,sourceActivity,start,duration,"
+         "weight\n1,2,home,home,0,60,1\n"
+      << row << "\n";
+  const std::string message =
+      config_error([&] { ContactNetwork::read_csv(csv, 4); });
+  EXPECT_NE(message.find("row 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("column " + column), std::string::npos) << message;
+  return message;
+}
+
+TEST(ReadCsv, RejectsTargetPidBeyond32Bits) {
+  // 2^32 + 1 used to load as node 1.
+  EXPECT_NE(csv_row_error("4294967297,2,home,home,0,60,1", "targetPID")
+                .find("4294967297"),
+            std::string::npos);
+}
+
+TEST(ReadCsv, RejectsNegativeTargetPid) {
+  EXPECT_NE(csv_row_error("-1,2,home,home,0,60,1", "targetPID").find("-1"),
+            std::string::npos);
+}
+
+TEST(ReadCsv, RejectsStartBeyond16Bits) {
+  // 65546 used to load as 10.
+  EXPECT_NE(csv_row_error("1,2,home,home,65546,60,1", "start").find("65546"),
+            std::string::npos);
+}
+
+TEST(ReadCsv, RejectsNegativeDuration) {
+  // -1 used to load as 65535.
+  EXPECT_NE(csv_row_error("1,2,home,home,0,-1,1", "duration").find("-1"),
+            std::string::npos);
+}
+
+TEST(ReadCsv, RejectsNonFiniteWeight) {
+  EXPECT_NE(csv_row_error("1,2,home,home,0,60,nan", "weight").find("nan"),
+            std::string::npos);
+  csv_row_error("1,2,home,home,0,60,-0.5", "weight");
+  csv_row_error("1,2,home,home,0,60,1e39", "weight");
 }
 
 class MalformedBinary : public ::testing::Test {

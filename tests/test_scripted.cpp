@@ -366,6 +366,63 @@ TEST(Scripted, FactoryBuildsScriptedType) {
   EXPECT_EQ(intervention->name(), "via-factory");
 }
 
+/// The ConfigError message a scripted spec throws, or "" if it parses.
+std::string scripted_error(const std::string& text) {
+  try {
+    intervention_from_json(parse_json(text));
+  } catch (const ConfigError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Scripted, RejectsTypoInFilterKey) {
+  // Misspelling "filter" left the action unfiltered, so it isolated every
+  // node; a misspelled key inside a filter dropped that condition.
+  EXPECT_NE(scripted_error(R"({"type": "scripted",
+    "trigger": {"op": ">=", "left": {"var": "time"}, "right": {"value": 0}},
+    "actions": [{"target": "nodes", "filtr": {"healthState": "Symptomatic"},
+                 "operations": [{"isolate": 14}]}]})")
+                .find("'filtr'"),
+            std::string::npos);
+  EXPECT_NE(scripted_error(R"({"type": "scripted",
+    "trigger": {"op": ">=", "left": {"var": "time"}, "right": {"value": 0}},
+    "actions": [{"target": "nodes", "filter": {"healthstate": "Symptomatic"},
+                 "operations": [{"isolate": 14}]}]})")
+                .find("'healthstate'"),
+            std::string::npos);
+  EXPECT_NE(scripted_error(R"({"type": "scripted",
+    "trigger": {"op": ">=", "left": {"var": "time"}, "right": {"value": 0}},
+    "actions": [{"target": "edges", "filter": {"contxt": "work"},
+                 "operations": [{"set": "active", "value": false}]}]})")
+                .find("'contxt'"),
+            std::string::npos);
+}
+
+TEST(Scripted, RejectsTypoInTopLevelKey) {
+  const std::string message = scripted_error(R"({"type": "scripted",
+    "trigger": {"op": ">=", "left": {"var": "time"}, "right": {"value": 0}},
+    "trigers": {"op": ">=", "left": {"var": "time"}, "right": {"value": 9}},
+    "actions": [{"target": "once",
+                 "operations": [{"setVariable": "x", "value": 1}]}]})");
+  EXPECT_NE(message.find("'trigers'"), std::string::npos) << message;
+}
+
+TEST(Scripted, RejectsTypoInOperationKey) {
+  const std::string message = scripted_error(R"({"type": "scripted",
+    "trigger": {"op": ">=", "left": {"var": "time"}, "right": {"value": 0}},
+    "actions": [{"target": "nodes",
+                 "operations": [{"scale": "infectivity", "factr": 0.5}]}]})");
+  EXPECT_NE(message.find("'factr'"), std::string::npos) << message;
+  EXPECT_NE(scripted_error(R"({"type": "scripted",
+    "trigger": {"op": ">=", "left": {"var": "time"}, "right": {"value": 0}},
+    "actions": [{"target": "nodes",
+                 "sampling": {"type": "fraction", "valeu": 0.5},
+                 "operations": [{"isolate": 14}]}]})")
+                .find("'valeu'"),
+            std::string::npos);
+}
+
 // Scripted interventions must preserve serial/parallel equivalence.
 class ScriptedParallelEquivalence : public ::testing::TestWithParam<int> {};
 

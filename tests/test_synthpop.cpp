@@ -9,6 +9,7 @@
 #include "synthpop/locations.hpp"
 #include "synthpop/population.hpp"
 #include "synthpop/us_states.hpp"
+#include "synthpop/visits.hpp"
 #include "util/error.hpp"
 
 namespace epi {
@@ -367,6 +368,91 @@ TEST_F(GeneratedRegion, ContentHashPinned) {
   config.seed = 20200325;
   EXPECT_EQ(generate_region(config).network.content_hash(),
             99070880375428224ULL);
+}
+
+// Regions large enough that visit synthesis and the CSR scatters run on
+// several workers on a multi-core host; both pins were taken before the
+// build used more than one thread.
+TEST_F(GeneratedRegion, ContentHashPinnedAboveTheWorkerGrain) {
+  SynthPopConfig config;
+  config.region = "VA";
+  config.scale = 1.0 / 40.0;
+  EXPECT_EQ(generate_region(config).network.content_hash(),
+            4615992225080038864ULL);
+  config.scale = 1.0 / 200.0;
+  config.week_long = true;
+  EXPECT_EQ(generate_region(config).network.content_hash(),
+            3756003480828139568ULL);
+}
+
+// ------------------------------------------------------ visit grouping ----
+
+/// Visits of `persons` persons in person order, up to three each at
+/// distinct locations of `locations`, with some locations never visited.
+std::vector<Visit> random_visits(std::size_t persons, std::size_t locations,
+                                 std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Visit> visits;
+  for (PersonId p = 0; p < persons; ++p) {
+    const auto first =
+        static_cast<LocationId>(rng.uniform_index(locations / 2));
+    const std::uint64_t count = rng.uniform_index(4);
+    for (std::uint64_t k = 0; k < count; ++k) {
+      visits.push_back(Visit{static_cast<LocationId>(first + k * 3), p,
+                             static_cast<std::uint16_t>(k * 100),
+                             static_cast<std::uint16_t>(k * 100 + 60),
+                             static_cast<ActivityType>(1 + k)});
+    }
+  }
+  return visits;
+}
+
+bool same_bytes(const std::vector<Visit>& a, const std::vector<Visit>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](const Visit& x, const Visit& y) {
+                      return x.location == y.location && x.person == y.person &&
+                             x.start == y.start && x.end == y.end &&
+                             x.person_activity == y.person_activity;
+                    });
+}
+
+TEST(VisitGrouping, SortedByLocationThenPersonAtForcedWorkerCounts) {
+  for (const std::size_t persons : {std::size_t{0}, std::size_t{2},
+                                    std::size_t{3000}}) {
+    const std::vector<Visit> visits = random_visits(persons, 400, 9);
+    std::vector<Visit> expected = visits;
+    std::sort(expected.begin(), expected.end(),
+              [](const Visit& a, const Visit& b) {
+                return a.location < b.location ||
+                       (a.location == b.location && a.person < b.person);
+              });
+    for (const std::size_t workers : {1, 2, 3, 4, 7}) {
+      const DayVisits day = group_by_location(visits, 400, workers);
+      EXPECT_TRUE(same_bytes(day.visits, expected))
+          << persons << " persons, " << workers << " workers";
+      ASSERT_EQ(day.offsets.size(), 401u);
+      for (std::size_t l = 0; l < 400; ++l) {
+        for (std::uint64_t i = day.offsets[l]; i < day.offsets[l + 1]; ++i) {
+          EXPECT_EQ(day.visits[i].location, l);
+        }
+      }
+    }
+  }
+}
+
+TEST(VisitGrouping, RejectsARepeatedVisit) {
+  std::vector<Visit> visits = random_visits(50, 40, 3);
+  visits.insert(visits.begin() + 1, visits.front());
+  for (const std::size_t workers : {1, 3}) {
+    EXPECT_THROW(group_by_location(visits, 40, workers), Error);
+  }
+}
+
+TEST(VisitGrouping, RejectsAnUnknownLocation) {
+  std::vector<Visit> visits = random_visits(50, 40, 4);
+  visits.back().location = 40;
+  EXPECT_THROW(group_by_location(visits, 40, 2), Error);
 }
 
 TEST(Generator, DifferentSeedsDifferentNetworks) {
