@@ -3,16 +3,16 @@
 // A broadcast exchange would allgatherv every rank's full infectious set
 // to every rank, every tick — O(global infectious x ranks) bytes on the
 // wire regardless of how many of those records a rank could ever use.
-// The engine does that only while at least 2% of persons are infectious
-// (the pull kernel); below it, the ghost-delta protocol sends each rank
-// only the *changes* to the boundary records it subscribed to at
-// construction (the push kernel), and globally quiescent ticks are skipped
-// outright (the seeds land at tick 8, so the dormant prefix is provably
-// skippable). This bench reports wire bytes, evaluated edges, the kernel
-// split, progressions and skipped ticks; it exits non-zero if the 8-rank
-// epidemic differs from the serial one (final states, incidence, or a
-// merged log other than the serial log stable-sorted by (tick, person))
-// or if no tick was skipped.
+// The engine never does: on every executed tick the ghost-delta protocol
+// sends each rank only the *changes* to the boundary records it subscribed
+// to at construction, and both kernels (push below 2% of persons
+// infectious, pull at or above) read those records. Globally quiescent
+// ticks are skipped outright (the seeds land at tick 8, so the dormant
+// prefix is provably skippable). This bench reports wire bytes, evaluated
+// edges, the kernel split, progressions and skipped ticks; it exits
+// non-zero if the 8-rank epidemic differs from the serial one (final
+// states, incidence, or a merged log other than the serial log
+// stable-sorted by (tick, person)) or if no tick was skipped.
 
 #include <algorithm>
 #include <cstdio>

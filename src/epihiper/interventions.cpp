@@ -209,30 +209,22 @@ void ContactTracing::apply(Simulation& sim) {
     std::vector<std::vector<std::uint64_t>> outbox(
         static_cast<std::size_t>(comm->size()));
     for (const auto& [person, depth] : frontier_) {
-      // partition_of() needs the partitioning, which the simulation hides;
-      // route by asking the simulation instead.
       if (sim.is_local(person)) {
         local_frontier.emplace_back(person, depth);
       } else {
-        // The owner is the rank whose range contains the person; we simply
-        // send to everyone and let owners keep their own (frontiers are
-        // small: bounded by new symptomatic cases times mean degree).
-        for (int r = 0; r < comm->size(); ++r) {
-          if (r == comm->rank()) continue;
-          outbox[static_cast<std::size_t>(r)].push_back(person);
-          outbox[static_cast<std::size_t>(r)].push_back(
-              static_cast<std::uint64_t>(depth));
-        }
+        auto& box = outbox[sim.owner(person)];
+        box.push_back(person);
+        box.push_back(static_cast<std::uint64_t>(depth));
       }
     }
     const auto inbox = comm->alltoallv(outbox);
     for (const auto& messages : inbox) {
       for (std::size_t i = 0; i + 1 < messages.size(); i += 2) {
         const auto person = static_cast<PersonId>(messages[i]);
-        if (sim.is_local(person)) {
-          local_frontier.emplace_back(person,
-                                      static_cast<int>(messages[i + 1]));
-        }
+        EPI_ASSERT(sim.is_local(person),
+                   "misrouted contact-tracing frontier entry " << person);
+        local_frontier.emplace_back(person,
+                                    static_cast<int>(messages[i + 1]));
       }
     }
   } else {

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <limits>
 #include <span>
-#include <type_traits>
 
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace epi {
@@ -19,74 +18,31 @@ namespace {
 // user tag — far from the simulator's small tick-keyed tags.
 constexpr int kGatherTag = (1 << 30) - 1;
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
-
-template <typename T>
-void put_pod_vector(std::vector<std::byte>& out, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  put_u64(out, v.size());
-  const std::size_t at = out.size();
-  out.resize(at + v.size() * sizeof(T));
-  if (!v.empty()) std::memcpy(out.data() + at, v.data(), v.size() * sizeof(T));
-}
-
-struct OutputReader {
-  std::span<const std::byte> blob;
-  std::size_t pos = 0;
-
-  std::uint64_t u64() {
-    EPI_REQUIRE(pos + 8 <= blob.size(), "truncated rank SimOutput payload");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(blob[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-
-  template <typename T>
-  std::vector<T> pod_vector() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::uint64_t count = u64();
-    EPI_REQUIRE(pos + count * sizeof(T) <= blob.size(),
-                "truncated rank SimOutput payload");
-    std::vector<T> v(static_cast<std::size_t>(count));
-    if (count > 0) std::memcpy(v.data(), blob.data() + pos, count * sizeof(T));
-    pos += count * sizeof(T);
-    return v;
-  }
-};
-
 std::vector<std::byte> serialize_sim_output(const SimOutput& out) {
-  std::vector<std::byte> blob;
-  put_pod_vector(blob, out.transitions);
-  put_pod_vector(blob, out.new_infections_per_tick);
-  put_pod_vector(blob, out.memory_bytes_per_tick);
-  put_pod_vector(blob, out.seconds_per_tick);
-  put_pod_vector(blob, out.final_states);
-  put_pod_vector(blob, out.frontier_edges_per_tick);
-  put_u64(blob, out.total_infections);
-  put_u64(blob, out.communication_bytes);
-  put_u64(blob, out.ghost_exchange_bytes);
-  put_u64(blob, out.work_units);
-  put_u64(blob, out.max_rank_work_units);
-  put_u64(blob, out.events_scheduled);
-  put_u64(blob, out.events_fired);
-  put_u64(blob, out.events_stale);
-  put_u64(blob, out.ticks_skipped);
-  put_u64(blob, out.ticks_executed);
-  put_u64(blob, out.broadcast_ticks);
-  put_u64(blob, out.ghost_ticks);
-  return blob;
+  ByteWriter blob;
+  blob.pod_vector(out.transitions);
+  blob.pod_vector(out.new_infections_per_tick);
+  blob.pod_vector(out.memory_bytes_per_tick);
+  blob.pod_vector(out.seconds_per_tick);
+  blob.pod_vector(out.final_states);
+  blob.pod_vector(out.frontier_edges_per_tick);
+  blob.u64(out.total_infections);
+  blob.u64(out.communication_bytes);
+  blob.u64(out.ghost_exchange_bytes);
+  blob.u64(out.work_units);
+  blob.u64(out.max_rank_work_units);
+  blob.u64(out.events_scheduled);
+  blob.u64(out.events_fired);
+  blob.u64(out.events_stale);
+  blob.u64(out.ticks_skipped);
+  blob.u64(out.ticks_executed);
+  blob.u64(out.broadcast_ticks);
+  blob.u64(out.ghost_ticks);
+  return blob.take();
 }
 
 SimOutput deserialize_sim_output(const std::vector<std::byte>& blob) {
-  OutputReader in{blob};
+  ByteReader in(blob, "rank SimOutput payload");
   SimOutput out;
   out.transitions = in.pod_vector<TransitionEvent>();
   out.new_infections_per_tick = in.pod_vector<std::uint64_t>();
@@ -106,8 +62,7 @@ SimOutput deserialize_sim_output(const std::vector<std::byte>& blob) {
   out.ticks_executed = in.u64();
   out.broadcast_ticks = in.u64();
   out.ghost_ticks = in.u64();
-  EPI_REQUIRE(in.pos == blob.size(),
-              "trailing bytes in rank SimOutput payload");
+  EPI_REQUIRE(in.done(), "trailing bytes in rank SimOutput payload");
   return out;
 }
 

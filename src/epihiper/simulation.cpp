@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 #include "epihiper/hit_order.hpp"
@@ -19,8 +20,11 @@ constexpr std::uint64_t kPurposeSeed = 0x53454544ULL;          // "SEED"
 constexpr std::uint64_t kPurposeCoin = 0x434f494eULL;          // "COIN"
 constexpr int kTagIsolation = 7;
 
-// Kernel switch: pull when global_infectious * kPullDenom >= network nodes
-// (i.e. >= 2% of persons infectious), else push. The 2% was tuned when the
+// Kernel switch: pull when the infectious count gathered at the end of the
+// last executed tick, times kPullDenom, reaches the network's node count
+// (i.e. >= 2% of persons infectious), else push. Both kernels read the same
+// local + ghost records, so the switch only picks the cheaper way to find
+// each target's infectious sources. The 2% was tuned when the
 // push kernel still sorted its hits. Re-measured with the linear-time push
 // kernel (4-core host, medians of 5), the switch ran the dense VA 1/40
 // `epidemic` replicate in 0.19 s on 4 thread ranks against 0.26 s for push
@@ -30,6 +34,19 @@ constexpr int kTagIsolation = 7;
 constexpr std::int64_t kPullDenom = 50;
 
 constexpr Tick kNever = std::numeric_limits<Tick>::max();
+
+/// std::lower_bound over the sorted range [first, last) for a value whose
+/// position is at or after `first`: gallops forward, so a search costs
+/// O(log distance) instead of O(log size).
+template <typename It, typename T>
+It gallop_lower_bound(It first, It last, const T& value) {
+  for (std::ptrdiff_t step = 1; last - first > step; step *= 2) {
+    const It probe = first + step;
+    if (!(*probe < value)) return std::lower_bound(first, probe, value);
+    first = probe + 1;
+  }
+  return std::lower_bound(first, last, value);
+}
 
 /// Wire format of the owner-routed isolation requests.
 struct IsolationRequest {
@@ -374,10 +391,9 @@ std::uint64_t Simulation::memory_footprint_bytes() const {
   bytes += edge_weight_scale_.capacity() * sizeof(float);
   bytes += isolated_until_.capacity() * sizeof(Tick);
   bytes += stay_home_.capacity();
-  // Pull kernel (once it has run): the O(network nodes) lookup plus the
-  // full gathered infectious set. Push kernel: halo-sized structures only.
+  // Pull kernel (once it has run): the O(network nodes) slot lookup. Both
+  // kernels otherwise read halo-sized structures only.
   bytes += infectious_lookup_.capacity() * sizeof(std::uint32_t);
-  bytes += global_infectious_.capacity() * sizeof(InfectiousInfo);
   bytes += local_infectious_.capacity() * sizeof(PersonId);
   bytes += local_infectious_pos_.capacity() * sizeof(std::uint32_t);
   bytes += ghost_persons_.capacity() * sizeof(PersonId);
@@ -504,8 +520,7 @@ void Simulation::exchange_remote_isolation_requests() {
   std::vector<std::vector<IsolationRequest>> outbox(
       static_cast<std::size_t>(comm_->size()));
   for (const auto& [person, until] : pending_remote_isolations_) {
-    const std::size_t owner = partitioning_->partition_of(person);
-    outbox[owner].push_back(IsolationRequest{person, until});
+    outbox[owner(person)].push_back(IsolationRequest{person, until});
   }
   pending_remote_isolations_.clear();
   const auto inbox = comm_->alltoallv(outbox);
@@ -518,8 +533,12 @@ void Simulation::exchange_remote_isolation_requests() {
 }
 
 void Simulation::step_transmissions() {
-  // Snapshot the local infectious records in ascending person order, the
-  // order both kernels' record slots follow.
+  // Snapshot the local infectious records in ascending person order; in a
+  // parallel run they are this rank's advert to its subscribers, so the
+  // exchange runs before any ghost record is appended. Both kernels then
+  // read the same local + ghost records: every remote source of a local
+  // in-edge is a ghost, and the deltas keep each ghost record equal to its
+  // owner's current one.
   sorted_infectious_scratch_.assign(local_infectious_.begin(),
                                     local_infectious_.end());
   std::sort(sorted_infectious_scratch_.begin(),
@@ -528,34 +547,20 @@ void Simulation::step_transmissions() {
   for (const PersonId p : sorted_infectious_scratch_) {
     tick_records_.push_back(infectious_record(p));
   }
+  if (comm_ != nullptr) {
+    exchange_ghost_deltas();
+    for (const std::uint32_t gi : ghost_active_) {
+      tick_records_.push_back(ghost_records_[gi]);
+    }
+  }
   const bool pull = infectious_total_ * kPullDenom >=
                     static_cast<std::int64_t>(network_.node_count());
   if (pull) {
     ++output_.broadcast_ticks;
-    // No deltas flow this tick, so whatever subscribers last saw is stale
-    // from here on; the next push tick must resend the whole halo.
-    ghost_halo_synced_ = false;
     step_transmissions_pull();
   } else {
     ++output_.ghost_ticks;
-    if (!ghost_halo_synced_) {
-      reset_ghost_halo();
-      ghost_halo_synced_ = true;
-    }
     step_transmissions_push();
-  }
-}
-
-void Simulation::reset_ghost_halo() {
-  advertised_.clear();
-  for (const std::uint32_t gi : ghost_active_) {
-    ghost_active_pos_[gi] = 0;
-  }
-  ghost_active_.clear();
-  for (std::size_t i = 0; i < ghost_records_.size(); ++i) {
-    InfectiousInfo blank;
-    blank.person = ghost_persons_[i];
-    ghost_records_[i] = blank;  // state == kNoState: absent
   }
 }
 
@@ -594,25 +599,17 @@ void Simulation::finish_candidate(PersonId p, double rate_sum) {
 }
 
 void Simulation::step_transmissions_pull() {
-  // Every rank receives every rank's infectious records and rescans all of
-  // its susceptible persons' in-edges.
+  // Rescan every local susceptible person's in-edges, finding each
+  // source's record slot through a person-indexed lookup. A rank that
+  // holds no record scans too: a pull tick counts every susceptible's
+  // in-edges in edges_evaluated and work_units.
   if (infectious_lookup_.empty()) {
     infectious_lookup_.assign(network_.node_count(), 0);
   }
-  for (const InfectiousInfo& info : global_infectious_) {
-    infectious_lookup_[info.person] = 0;
+  build_record_soa(tick_records_);
+  for (std::size_t i = 0; i < slot_person_.size(); ++i) {
+    infectious_lookup_[slot_person_[i]] = static_cast<std::uint32_t>(i + 1);
   }
-  if (comm_ != nullptr) {
-    global_infectious_ = comm_->allgatherv(tick_records_);
-  } else {
-    global_infectious_.assign(tick_records_.begin(), tick_records_.end());
-  }
-  for (std::size_t i = 0; i < global_infectious_.size(); ++i) {
-    infectious_lookup_[global_infectious_[i].person] =
-        static_cast<std::uint32_t>(i + 1);
-  }
-  if (global_infectious_.empty()) return;
-  build_record_soa(global_infectious_);
 
   const std::size_t state_count = model_.state_count();
   const bool weights_scaled = !edge_weight_scale_.empty();
@@ -659,6 +656,9 @@ void Simulation::step_transmissions_pull() {
     finish_candidate(p, rate_sum);
   }
   output_.work_units += work;
+  for (const PersonId p : slot_person_) {
+    infectious_lookup_[p] = 0;
+  }
 }
 
 void Simulation::exchange_ghost_deltas() {
@@ -728,11 +728,17 @@ void Simulation::exchange_ghost_deltas() {
   // with an empty outbox (mpilite collectives are lockstep).
   const auto inbox = comm_->alltoallv(delta_outbox_);
   for (const auto& messages : inbox) {
+    // An owner sends its deltas in ascending person order (the merge-diff
+    // above), so each lookup gallops on from the previous one: on dense
+    // ticks a binary search over every ghost per delta was the exchange's
+    // largest cost.
+    auto from = ghost_persons_.begin();
     for (const InfectiousInfo& rec : messages) {
-      const auto it = std::lower_bound(ghost_persons_.begin(),
-                                       ghost_persons_.end(), rec.person);
+      const auto it =
+          gallop_lower_bound(from, ghost_persons_.end(), rec.person);
       EPI_ASSERT(it != ghost_persons_.end() && *it == rec.person,
                  "ghost delta for a person this rank never subscribed to");
+      from = it + 1;
       const auto gi =
           static_cast<std::uint32_t>(it - ghost_persons_.begin());
       ghost_records_[gi] = rec;
@@ -756,12 +762,6 @@ void Simulation::exchange_ghost_deltas() {
 }
 
 void Simulation::step_transmissions_push() {
-  if (comm_ != nullptr) {
-    exchange_ghost_deltas();
-    for (const std::uint32_t gi : ghost_active_) {
-      tick_records_.push_back(ghost_records_[gi]);
-    }
-  }
   if (tick_records_.empty()) return;
   build_record_soa(tick_records_);
 

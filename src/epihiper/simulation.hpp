@@ -11,20 +11,21 @@
 // county-level aggregates are derived.
 //
 // The engine is partition-parallel over mpilite: each rank owns one
-// partition of the network (all in-edges of its nodes). There is one
-// transmission step with two kernels, picked per executed tick from the
-// global infectious density (DESIGN.md §9, §14):
-//   - push, while fewer than 2% of persons are infectious: a ghost-list
-//     halo exchange sends each rank only the deltas of the remote boundary
-//     records it subscribed to at construction, and only the susceptible
-//     out-neighbours of infectious sources are evaluated. A counting
-//     scatter puts the (edge, source) hits in edge order and a galloping
-//     forward search over the CSR offsets finds each target, so a tick
-//     costs O(hits + target groups x log gap);
-//   - pull, at or above 2%: an allgatherv of every rank's infectious
-//     records and a rescan of every local susceptible's in-edges, which
-//     touches fewer edges than pushing once most persons are infected or
-//     immune. Flipping back to push resends the whole halo.
+// partition of the network (all in-edges of its nodes). Remote infection
+// state reaches a rank one way, a ghost-list halo: at construction each
+// rank subscribes to the remote sources of its in-edges, and on every
+// executed tick each owner sends its subscribers only the deltas of their
+// records (new, changed, left-infectious). There is one transmission step
+// with two kernels over the same local + ghost records, picked per
+// executed tick from the global infectious density (DESIGN.md §9, §14):
+//   - push, while fewer than 2% of persons are infectious: only the
+//     susceptible out-neighbours of infectious sources are evaluated. A
+//     counting scatter puts the (edge, source) hits in edge order and a
+//     galloping forward search over the CSR offsets finds each target, so
+//     a tick costs O(hits + target groups x log gap);
+//   - pull, at or above 2%: a rescan of every local susceptible's
+//     in-edges against a person-indexed record lookup, which touches fewer
+//     edges than pushing once most persons are infected or immune.
 // Within-host progressions come from one per-person scan per executed
 // tick. Globally quiescent tick ranges (no due progression, seed,
 // infectious record, owed exchange or intervention wake-up on any rank)
@@ -103,8 +104,9 @@ struct SimOutput {
   std::vector<HealthStateId> final_states;
   std::uint64_t total_infections = 0;
   std::uint64_t communication_bytes = 0;  // mpilite traffic (scaling model)
-  /// Bytes of per-tick ghost-delta payload this rank sent (a subset of
-  /// communication_bytes; zero on pull ticks and in serial runs).
+  /// Bytes of per-tick ghost-delta payload this rank sent, on push and
+  /// pull ticks alike (a subset of communication_bytes; zero in serial
+  /// runs).
   std::uint64_t ghost_exchange_bytes = 0;
   /// Per-tick count of candidate edges the transmission kernel evaluated:
   /// on push ticks the edges pushed from infectious sources (local +
@@ -136,8 +138,10 @@ struct SimOutput {
   std::uint64_t ticks_skipped = 0;
   /// Ticks that actually executed; executed + skipped == num_ticks.
   std::uint64_t ticks_executed = 0;
-  /// Executed ticks that ran the pull kernel and the push kernel. The
-  /// split is rank-identical (the switch keys on a gathered count).
+  /// Executed ticks that ran the pull kernel (broadcast_ticks; the name
+  /// predates the one halo, and nothing is broadcast) and the push kernel
+  /// (ghost_ticks). Both kernels read the ghost halo. The split is
+  /// rank-identical (the switch keys on a gathered count).
   std::uint64_t broadcast_ticks = 0;
   std::uint64_t ghost_ticks = 0;
 };
@@ -197,6 +201,10 @@ class Simulation {
   PersonId local_end() const { return local_end_; }
   bool is_local(PersonId p) const {
     return p >= local_begin_ && p < local_end_;
+  }
+  /// The rank that owns person p (0 in a serial run).
+  std::size_t owner(PersonId p) const {
+    return partitioning_ == nullptr ? 0 : partitioning_->partition_of(p);
   }
 
   HealthStateId health(PersonId p) const;
@@ -299,10 +307,11 @@ class Simulation {
 
   void seed_infections();
   /// The transmission step. Snapshots the local infectious records in
-  /// ascending person order (tick_records_), then runs the pull kernel if
-  /// the global infectious count gathered at the end of the last executed
-  /// tick reaches 2% of the network, else the push kernel. The count is
-  /// the same on every rank, so every rank picks the same kernel.
+  /// ascending person order (tick_records_), exchanges the halo deltas and
+  /// appends the active ghost records (parallel runs), then runs the pull
+  /// kernel if the global infectious count gathered at the end of the last
+  /// executed tick reaches 2% of the network, else the push kernel. The
+  /// count is the same on every rank, so every rank picks the same kernel.
   void step_transmissions();
   void step_transmissions_pull();
   void step_transmissions_push();
@@ -312,12 +321,6 @@ class Simulation {
   /// transmission inner loops: premultiplied source infectivity, state,
   /// isolation flags, person ids, indexed by record slot.
   void build_record_soa(const std::vector<InfectiousInfo>& records);
-  /// Forgets all advertised/ghost halo state (every record absent) so the
-  /// next exchange_ghost_deltas() re-sends the full current boundary set —
-  /// the resync run on the first push tick after pull ticks left the halo
-  /// stale. Collective in effect: all ranks reset on the same tick because
-  /// the kernel choice is global.
-  void reset_ghost_halo();
   /// Fires every progression due this tick, in ascending person order.
   void step_progressions();
   void apply_interventions();
@@ -377,10 +380,10 @@ class Simulation {
   std::vector<std::uint32_t> local_infectious_pos_;  // local idx -> pos+1
 
   // --- Pull-kernel state (allocated on the first pull tick) --------------
-  std::vector<InfectiousInfo> global_infectious_;
-  std::vector<std::uint32_t> infectious_lookup_;  // person -> index+1, 0=none
+  // person -> record slot + 1, 0 = none; all zero outside the pull scan.
+  std::vector<std::uint32_t> infectious_lookup_;
 
-  // --- Ghost-list halo state (parallel runs; read by the push kernel) ---
+  // --- Ghost-list halo state (parallel runs; read by both kernels) ------
   std::vector<PersonId> ghost_persons_;        // sorted remote in-edge sources
   std::vector<InfectiousInfo> ghost_records_;  // per ghost; kNoState = absent
   std::vector<std::uint32_t> ghost_active_;      // ghost indices, unordered
@@ -397,10 +400,6 @@ class Simulation {
   // Global infectious count gathered at the end of the last executed tick.
   std::int64_t infectious_total_ = 0;
   std::vector<Tick> seed_ticks_;  // sorted unique pending-seed ticks
-  // Whether the advertised/ghost halo matches what subscribers last
-  // received; false after a pull tick (no deltas flowed), forcing
-  // reset_ghost_halo() before the next push tick's exchange.
-  bool ghost_halo_synced_ = true;
 
   // --- Per-tick scratch, hoisted out of the hot loops --------------------
   std::vector<InfectiousInfo> tick_records_;   // current local (+ghost) view

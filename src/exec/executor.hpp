@@ -5,9 +5,10 @@
 // (100-point LHC prior designs, 30-member forecast ensembles, per-state
 // replicates). Our reproduction models that concurrency in the Slurm DES
 // but, until this module, *executed* every real simulation serially.
-// parallel_map() is the farm driver: a fixed pool of worker threads runs
-// independent tasks and hands results back in submission-index order, so
-// callers observe exactly what the serial loop would have produced.
+// parallel_map() is the farm driver: a fixed pool of worker threads
+// (run_workers, with the calling thread as worker 0) runs independent
+// tasks and hands results back in submission-index order, so callers
+// observe exactly what the serial loop would have produced.
 //
 // Determinism contract:
 //   - every task must be a pure function of its (config, seed) — the
@@ -50,7 +51,6 @@
 #include <exception>
 #include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -196,12 +196,10 @@ auto parallel_index_map(std::size_t count, Fn&& fn,
     }
   };
 
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back(worker_loop, w);
-  }
-  for (std::thread& t : pool) t.join();
+  // worker_loop catches every task's exception itself, so run_workers
+  // rethrows only a failure to start a thread, after joining the started
+  // workers.
+  run_workers(workers, worker_loop);
 
   if (record) {
     detail::flush_obs(config.obs, config.label, count, workers,

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "util/bytes.hpp"
+
 namespace epi::mpilite {
 
 const char* to_string(CheckKind kind) {
@@ -429,84 +431,23 @@ std::vector<CheckReport> CommChecker::finalize(Shutdown shutdown) {
 // own rank's collective history, and its send/delivered tallies exist only
 // in the child. The child serializes them into its exit blob; the parent
 // absorbs every child in rank order before finalize, reconstructing the
-// global view the thread backend accumulates in one address space. The
-// format is a private parent<->child pipe payload (same binary, same
-// architecture), so plain little-endian scalar dumps suffice.
+// global view the thread backend accumulates in one address space, in the
+// util/bytes.hpp codec of every parent<->child blob.
 
 namespace {
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_i32(std::vector<std::byte>& out, std::int32_t v) {
-  put_u64(out, static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
-}
-
-void put_str(std::vector<std::byte>& out, const std::string& s) {
-  put_u64(out, s.size());
-  for (const char c : s) out.push_back(static_cast<std::byte>(c));
-}
-
-class BlobReader {
- public:
-  explicit BlobReader(std::span<const std::byte> blob) : blob_(blob) {}
-
-  std::uint8_t u8() {
-    EPI_REQUIRE(pos_ + 1 <= blob_.size(),
-                "mpilite: truncated checker state blob from child process");
-    return static_cast<std::uint8_t>(blob_[pos_++]);
-  }
-
-  std::uint64_t u64() {
-    EPI_REQUIRE(pos_ + 8 <= blob_.size(),
-                "mpilite: truncated checker state blob from child process");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(blob_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  std::int32_t i32() {
-    return static_cast<std::int32_t>(static_cast<std::uint32_t>(u64()));
-  }
-
-  std::string str() {
-    const std::uint64_t len = u64();
-    EPI_REQUIRE(pos_ + len <= blob_.size(),
-                "mpilite: truncated checker state blob from child process");
-    std::string s(len, '\0');
-    for (std::uint64_t i = 0; i < len; ++i) {
-      s[i] = static_cast<char>(blob_[pos_ + i]);
-    }
-    pos_ += len;
-    return s;
-  }
-
-  bool done() const { return pos_ == blob_.size(); }
-
- private:
-  std::span<const std::byte> blob_;
-  std::size_t pos_ = 0;
-};
-
-void put_tally(std::vector<std::byte>& out,
+void put_tally(ByteWriter& out,
                const std::map<std::tuple<int, int, int>, std::int64_t>& m) {
-  put_u64(out, m.size());
+  out.u64(m.size());
   for (const auto& [key, count] : m) {
-    put_i32(out, std::get<0>(key));
-    put_i32(out, std::get<1>(key));
-    put_i32(out, std::get<2>(key));
-    put_u64(out, static_cast<std::uint64_t>(count));
+    out.i32(std::get<0>(key));
+    out.i32(std::get<1>(key));
+    out.i32(std::get<2>(key));
+    out.u64(static_cast<std::uint64_t>(count));
   }
 }
 
-void read_tally(BlobReader& in,
+void read_tally(ByteReader& in,
                 std::map<std::tuple<int, int, int>, std::int64_t>& m) {
   const std::uint64_t n = in.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -521,34 +462,34 @@ void read_tally(BlobReader& in,
 
 std::vector<std::byte> CommChecker::serialize_child_state(int rank) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::byte> out;
+  ByteWriter out;
 
-  put_u64(out, reports_.size());
+  out.u64(reports_.size());
   for (const CheckReport& report : reports_) {
-    out.push_back(static_cast<std::byte>(report.kind));
-    put_i32(out, report.rank);
-    put_str(out, report.message);
+    out.u8(static_cast<std::uint8_t>(report.kind));
+    out.i32(report.rank);
+    out.str(report.message);
   }
 
   const auto& history = history_[static_cast<std::size_t>(rank)];
-  put_u64(out, history.size());
+  out.u64(history.size());
   for (const CollectiveRecord& rec : history) {
-    out.push_back(static_cast<std::byte>(rec.kind));
-    put_i32(out, rec.root);
-    put_i32(out, rec.op);
-    put_u64(out, rec.count);
-    out.push_back(static_cast<std::byte>(rec.count_must_agree ? 1 : 0));
+    out.u8(static_cast<std::uint8_t>(rec.kind));
+    out.i32(rec.root);
+    out.i32(rec.op);
+    out.u64(rec.count);
+    out.u8(rec.count_must_agree ? 1 : 0);
   }
 
   put_tally(out, sends_);
   put_tally(out, delivered_);
-  return out;
+  return out.take();
 }
 
 void CommChecker::absorb_child_state(int rank,
                                      std::span<const std::byte> blob) {
   std::lock_guard<std::mutex> lock(mutex_);
-  BlobReader in(blob);
+  ByteReader in(blob, "mpilite checker state blob from child process");
 
   const std::uint64_t n_reports = in.u64();
   for (std::uint64_t i = 0; i < n_reports; ++i) {
@@ -561,7 +502,8 @@ void CommChecker::absorb_child_state(int rank,
 
   auto& history = history_[static_cast<std::size_t>(rank)];
   history.clear();  // the parent never ran this rank; the slot is empty
-  const std::uint64_t n_records = in.u64();
+  // kind, root, op, count, count_must_agree
+  const std::uint64_t n_records = in.count(1 + 8 + 8 + 8 + 1);
   history.reserve(n_records);
   for (std::uint64_t i = 0; i < n_records; ++i) {
     CollectiveRecord rec;

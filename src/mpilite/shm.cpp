@@ -24,6 +24,7 @@
 
 #include "mpilite/hub.hpp"
 #include "obs/metrics.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace epi::mpilite {
@@ -580,108 +581,31 @@ using detail::CommChecker;
 using detail::FlowRecord;
 using detail::Hub;
 
-// Child exit blob helpers. The blob travels over a parent<->child pipe on
-// the same machine, so plain little-endian scalar dumps suffice.
+// Child exit blob helpers (util/bytes.hpp codec). A flow's ranks and tag
+// each take a u64 slot.
 
-void put_u8(std::vector<std::byte>& out, std::uint8_t v) {
-  out.push_back(static_cast<std::byte>(v));
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_str(std::vector<std::byte>& out, const std::string& s) {
-  put_u64(out, s.size());
-  for (const char c : s) out.push_back(static_cast<std::byte>(c));
-}
-
-void put_blob(std::vector<std::byte>& out, const std::vector<std::byte>& b) {
-  put_u64(out, b.size());
-  out.insert(out.end(), b.begin(), b.end());
-}
-
-void put_flows(std::vector<std::byte>& out,
-               const std::vector<FlowRecord>& flows) {
-  put_u64(out, flows.size());
+void put_flows(ByteWriter& out, const std::vector<FlowRecord>& flows) {
+  out.u64(flows.size());
   for (const FlowRecord& f : flows) {
-    put_u64(out, static_cast<std::uint64_t>(static_cast<std::uint32_t>(f.source)));
-    put_u64(out, static_cast<std::uint64_t>(static_cast<std::uint32_t>(f.dest)));
-    put_u64(out, static_cast<std::uint64_t>(static_cast<std::uint32_t>(f.tag)));
-    put_u64(out, f.seq);
-    put_u64(out, f.bytes);
+    out.i32(f.source);
+    out.i32(f.dest);
+    out.i32(f.tag);
+    out.u64(f.seq);
+    out.u64(f.bytes);
   }
 }
 
-class ExitBlobReader {
- public:
-  explicit ExitBlobReader(const std::vector<std::byte>& blob) : blob_(blob) {}
-
-  std::uint8_t u8() {
-    EPI_REQUIRE(pos_ + 1 <= blob_.size(),
-                "mpilite: truncated exit blob from rank process");
-    return static_cast<std::uint8_t>(blob_[pos_++]);
+std::vector<FlowRecord> read_flows(ByteReader& in) {
+  std::vector<FlowRecord> out(in.count(5 * 8));
+  for (FlowRecord& f : out) {
+    f.source = in.i32();
+    f.dest = in.i32();
+    f.tag = in.i32();
+    f.seq = in.u64();
+    f.bytes = in.u64();
   }
-
-  std::uint64_t u64() {
-    EPI_REQUIRE(pos_ + 8 <= blob_.size(),
-                "mpilite: truncated exit blob from rank process");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(blob_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  std::string str() {
-    const std::uint64_t len = u64();
-    EPI_REQUIRE(pos_ + len <= blob_.size(),
-                "mpilite: truncated exit blob from rank process");
-    std::string s(len, '\0');
-    for (std::uint64_t i = 0; i < len; ++i) {
-      s[i] = static_cast<char>(blob_[pos_ + i]);
-    }
-    pos_ += len;
-    return s;
-  }
-
-  std::vector<std::byte> blob() {
-    const std::uint64_t len = u64();
-    EPI_REQUIRE(pos_ + len <= blob_.size(),
-                "mpilite: truncated exit blob from rank process");
-    std::vector<std::byte> b(blob_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                             blob_.begin() +
-                                 static_cast<std::ptrdiff_t>(pos_ + len));
-    pos_ += len;
-    return b;
-  }
-
-  std::vector<FlowRecord> flows() {
-    const std::uint64_t count = u64();
-    std::vector<FlowRecord> out;
-    out.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      FlowRecord f;
-      f.source = static_cast<int>(static_cast<std::uint32_t>(u64()));
-      f.dest = static_cast<int>(static_cast<std::uint32_t>(u64()));
-      f.tag = static_cast<int>(static_cast<std::uint32_t>(u64()));
-      f.seq = u64();
-      f.bytes = u64();
-      out.push_back(f);
-    }
-    return out;
-  }
-
-  bool done() const { return pos_ == blob_.size(); }
-
- private:
-  const std::vector<std::byte>& blob_;
-  std::size_t pos_ = 0;
-};
+  return out;
+}
 
 void write_all(int fd, const std::vector<std::byte>& data) {
   std::size_t done = 0;
@@ -755,16 +679,16 @@ constexpr std::uint8_t kChildCheckError = 3;
     hub->abort();
   }
 
-  std::vector<std::byte> blob;
-  put_u8(blob, status);
-  put_str(blob, what);
-  put_u8(blob, chk != nullptr ? 1 : 0);
-  if (chk != nullptr) put_blob(blob, chk->serialize_child_state(rank));
+  ByteWriter blob;
+  blob.u8(status);
+  blob.str(what);
+  blob.u8(chk != nullptr ? 1 : 0);
+  if (chk != nullptr) blob.bytes(chk->serialize_child_state(rank));
   put_flows(blob, hub->flow_sends);
   put_flows(blob, hub->flow_recvs);
-  put_u8(blob, ship_metrics ? 1 : 0);
-  if (ship_metrics) put_blob(blob, local_metrics.serialize_state());
-  write_all(write_fd, blob);
+  blob.u8(ship_metrics ? 1 : 0);
+  if (ship_metrics) blob.bytes(local_metrics.serialize_state());
+  write_all(write_fd, blob.take());
   ::close(write_fd);
   ::_exit(0);
 }
@@ -899,16 +823,16 @@ std::vector<CheckReport> Runtime::run_shm_impl(
 
     try {
       EPI_REQUIRE(!raw.empty(), "rank process exited without an exit blob");
-      ExitBlobReader in(raw);
+      ByteReader in(raw, "mpilite exit blob from rank process");
       const std::uint8_t status = in.u8();
       const std::string what = in.str();
       if (in.u8() != 0) {
-        const std::vector<std::byte> checker_blob = in.blob();
+        const std::vector<std::byte> checker_blob = in.bytes();
         if (chk != nullptr) chk->absorb_child_state(r, checker_blob);
       }
       {
-        const std::vector<FlowRecord> sends = in.flows();
-        const std::vector<FlowRecord> recvs = in.flows();
+        const std::vector<FlowRecord> sends = read_flows(in);
+        const std::vector<FlowRecord> recvs = read_flows(in);
         std::lock_guard<std::mutex> lock(hub->flow_mutex);
         hub->flow_sends.insert(hub->flow_sends.end(), sends.begin(),
                                sends.end());
@@ -916,7 +840,7 @@ std::vector<CheckReport> Runtime::run_shm_impl(
                                recvs.end());
       }
       if (in.u8() != 0) {
-        const std::vector<std::byte> metrics_blob = in.blob();
+        const std::vector<std::byte> metrics_blob = in.bytes();
         if (obs.metrics != nullptr) obs.metrics->merge_state(metrics_blob);
       }
       EPI_REQUIRE(in.done(), "trailing bytes in rank exit blob");

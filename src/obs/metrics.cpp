@@ -2,78 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace epi::obs {
-
-namespace {
-
-// Blob helpers for serialize_state/merge_state: a private same-machine
-// parent<->child payload, so plain little-endian scalar dumps with
-// bit-exact doubles (memcpy through u64) are all that is needed.
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_f64(std::vector<std::byte>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_str(std::vector<std::byte>& out, const std::string& s) {
-  put_u64(out, s.size());
-  for (const char c : s) out.push_back(static_cast<std::byte>(c));
-}
-
-class StateReader {
- public:
-  explicit StateReader(const std::vector<std::byte>& blob) : blob_(blob) {}
-
-  std::uint64_t u64() {
-    EPI_REQUIRE(pos_ + 8 <= blob_.size(), "truncated metrics state blob");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(blob_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  std::string str() {
-    const std::uint64_t len = u64();
-    EPI_REQUIRE(pos_ + len <= blob_.size(), "truncated metrics state blob");
-    std::string s(len, '\0');
-    for (std::uint64_t i = 0; i < len; ++i) {
-      s[i] = static_cast<char>(blob_[pos_ + i]);
-    }
-    pos_ += len;
-    return s;
-  }
-
-  bool done() const { return pos_ == blob_.size(); }
-
- private:
-  const std::vector<std::byte>& blob_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
 
 const std::vector<double>& MetricsRegistry::default_bounds() {
   static const std::vector<double> bounds = {1e-6, 1e-5, 1e-4, 1e-3, 1e-2,
@@ -168,36 +103,36 @@ std::uint64_t MetricsRegistry::histogram_count(const std::string& name) const {
 
 std::vector<std::byte> MetricsRegistry::serialize_state() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::byte> out;
-  put_u64(out, counters_.size());
+  ByteWriter out;
+  out.u64(counters_.size());
   for (const auto& [name, value] : counters_) {
-    put_str(out, name);
-    put_u64(out, value);
+    out.str(name);
+    out.u64(value);
   }
-  put_u64(out, gauges_.size());
+  out.u64(gauges_.size());
   for (const auto& [name, value] : gauges_) {
-    put_str(out, name);
-    put_f64(out, value);
+    out.str(name);
+    out.f64(value);
   }
-  put_u64(out, histograms_.size());
+  out.u64(histograms_.size());
   for (const auto& [name, histogram] : histograms_) {
-    put_str(out, name);
-    put_u64(out, histogram.bounds.size());
-    for (const double bound : histogram.bounds) put_f64(out, bound);
-    put_u64(out, histogram.counts.size());
-    for (const std::uint64_t count : histogram.counts) put_u64(out, count);
-    put_u64(out, histogram.count);
-    put_u64(out, histogram.underflow);
-    put_f64(out, histogram.sum);
-    put_f64(out, histogram.min);
-    put_f64(out, histogram.max);
+    out.str(name);
+    out.u64(histogram.bounds.size());
+    for (const double bound : histogram.bounds) out.f64(bound);
+    out.u64(histogram.counts.size());
+    for (const std::uint64_t count : histogram.counts) out.u64(count);
+    out.u64(histogram.count);
+    out.u64(histogram.underflow);
+    out.f64(histogram.sum);
+    out.f64(histogram.min);
+    out.f64(histogram.max);
   }
-  return out;
+  return out.take();
 }
 
 void MetricsRegistry::merge_state(const std::vector<std::byte>& blob) {
   std::lock_guard<std::mutex> lock(mutex_);
-  StateReader in(blob);
+  ByteReader in(blob, "metrics state blob");
 
   const std::uint64_t n_counters = in.u64();
   for (std::uint64_t i = 0; i < n_counters; ++i) {
@@ -221,11 +156,14 @@ void MetricsRegistry::merge_state(const std::vector<std::byte>& blob) {
   for (std::uint64_t i = 0; i < n_histograms; ++i) {
     const std::string name = in.str();
     Histogram incoming;
-    const std::uint64_t n_bounds = in.u64();
-    incoming.bounds.resize(n_bounds);
+    incoming.bounds.resize(in.count(sizeof(double)));
     for (auto& bound : incoming.bounds) bound = in.f64();
-    const std::uint64_t n_counts = in.u64();
-    incoming.counts.resize(n_counts);
+    incoming.counts.resize(in.count(sizeof(std::uint64_t)));
+    EPI_REQUIRE(incoming.counts.size() == incoming.bounds.size() + 1,
+                "metrics state blob: histogram '"
+                    << name << "' has " << incoming.counts.size()
+                    << " buckets for " << incoming.bounds.size()
+                    << " bounds");
     for (auto& count : incoming.counts) count = in.u64();
     incoming.count = in.u64();
     incoming.underflow = in.u64();

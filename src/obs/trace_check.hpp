@@ -1,5 +1,5 @@
 // Structural validation of emitted trace/metrics JSON — the golden-file
-// checks shared by tests/test_obs.cpp and the tools/trace_check CI helper.
+// checks shared by tests/test_obs.cpp and `epitrace check`.
 //
 // A trace passes when it is a Chrome trace_event document: an object with
 // a "traceEvents" array whose events carry ph/pid/tid/ts, whose

@@ -59,27 +59,34 @@ int sample_age_in_group(AgeGroup group, Rng& rng) {
   return 30;
 }
 
-/// Day `day`'s visits in ascending person order. Each person draws from
-/// a stream of its own, so person ranges run on workers_for(persons,
-/// kVisitGrain) threads and their runs are joined in range order. Every
-/// run is reserved on the calling thread for its most visits, so workers
-/// allocate nothing.
-std::vector<Visit> day_visits(const std::vector<PersonTraits>& persons,
-                              const std::vector<LocationId>& anchor,
-                              const std::vector<bool>& has_anchor,
-                              const LocationModel& locations, const Rng& rng,
-                              int day) {
+/// The visits of each day in `days`, each day's in ascending person
+/// order. Each person draws from a stream of its own: the week schedule
+/// once, then each day's locations from a copy of the stream as the week
+/// left it, which are the draws a pass over that day alone makes. Person
+/// ranges run on workers_for(persons, kVisitGrain) threads and their runs
+/// are joined in range order. Every run is reserved on the calling thread
+/// for its most visits, so workers allocate nothing.
+std::vector<std::vector<Visit>> visits_by_day(
+    const std::vector<PersonTraits>& persons,
+    const std::vector<LocationId>& anchor, const std::vector<bool>& has_anchor,
+    const LocationModel& locations, const Rng& rng,
+    const std::vector<int>& days) {
+  using WeekRuns = std::array<std::vector<Visit>, 7>;
+  EPI_ASSERT(days.size() <= WeekRuns{}.size(), "more days than a week");
   const std::size_t workers = workers_for(persons.size(), kVisitGrain);
-  std::vector<std::vector<Visit>> runs(workers);
+  // runs[w][d]: worker w's visits on days[d].
+  std::vector<WeekRuns> runs(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    runs[w].reserve(kMaxActivitiesPerDay *
-                    (slice_begin(persons.size(), workers, w + 1) -
-                     slice_begin(persons.size(), workers, w)));
+    for (std::size_t d = 0; d < days.size(); ++d) {
+      runs[w][d].reserve(kMaxActivitiesPerDay *
+                         (slice_begin(persons.size(), workers, w + 1) -
+                          slice_begin(persons.size(), workers, w)));
+    }
   }
   run_workers(workers, [&](std::size_t w) {
     // Filled through a stack copy: neighbouring runs' headers share a
     // cache line, and every push_back would write it.
-    std::vector<Visit> run = std::move(runs[w]);
+    WeekRuns day_runs = std::move(runs[w]);
     const auto begin =
         static_cast<PersonId>(slice_begin(persons.size(), workers, w));
     const auto end =
@@ -88,28 +95,38 @@ std::vector<Visit> day_visits(const std::vector<PersonTraits>& persons,
       Rng person_rng = rng.derive({0x414354ULL, p});  // "ACT"
       const WeekSchedule week = assign_week_schedule(
           static_cast<Occupation>(persons[p].occupation), person_rng);
-      for (const Activity& a : week.days[static_cast<std::size_t>(day)]) {
-        if (a.type == ActivityType::kHome) continue;
-        LocationId where;
-        if ((a.type == ActivityType::kWork || a.type == ActivityType::kSchool ||
-             a.type == ActivityType::kCollege) &&
-            has_anchor[p]) {
-          where = anchor[p];
-        } else {
-          where = locations.assign(persons[p].county, a.type, person_rng);
+      for (std::size_t d = 0; d < days.size(); ++d) {
+        Rng day_rng = person_rng;
+        for (const Activity& a : week.days[static_cast<std::size_t>(days[d])]) {
+          if (a.type == ActivityType::kHome) continue;
+          LocationId where;
+          if ((a.type == ActivityType::kWork ||
+               a.type == ActivityType::kSchool ||
+               a.type == ActivityType::kCollege) &&
+              has_anchor[p]) {
+            where = anchor[p];
+          } else {
+            where = locations.assign(persons[p].county, a.type, day_rng);
+          }
+          day_runs[d].push_back(
+              Visit{where, p, a.start_minute, a.end_minute(), a.type});
         }
-        run.push_back(Visit{where, p, a.start_minute, a.end_minute(), a.type});
       }
     }
-    runs[w] = std::move(run);
+    runs[w] = std::move(day_runs);
   });
-  if (workers == 1) return std::move(runs.front());
-  std::size_t total = 0;
-  for (const std::vector<Visit>& run : runs) total += run.size();
-  std::vector<Visit> visits;
-  visits.reserve(total);
-  for (const std::vector<Visit>& run : runs) {
-    visits.insert(visits.end(), run.begin(), run.end());
+  std::vector<std::vector<Visit>> visits(days.size());
+  for (std::size_t d = 0; d < days.size(); ++d) {
+    if (workers == 1) {
+      visits[d] = std::move(runs.front()[d]);
+      continue;
+    }
+    std::size_t total = 0;
+    for (const auto& day_runs : runs) total += day_runs[d].size();
+    visits[d].reserve(total);
+    for (const auto& day_runs : runs) {
+      visits[d].insert(visits[d].end(), day_runs[d].begin(), day_runs[d].end());
+    }
   }
   return visits;
 }
@@ -375,13 +392,16 @@ SyntheticRegion generate_region(const SynthPopConfig& config) {
   } else {
     days.push_back(config.projection_day);
   }
+  // Visits draw from per-person streams, not from `rng`, so every day's
+  // visits can be drawn before any day's contacts.
+  std::vector<std::vector<Visit>> visits_per_day =
+      visits_by_day(persons, anchor, has_anchor, locations, rng, days);
   std::vector<std::size_t> order;  // one location group's visit order
-  for (const int day : days) {
-    const std::vector<Visit> by_person =
-        day_visits(persons, anchor, has_anchor, locations, rng, day);
+  for (std::vector<Visit>& by_person : visits_per_day) {
     const DayVisits grouped =
         group_by_location(by_person, locations.location_count(),
                           workers_for(by_person.size(), kScatterGrain));
+    std::vector<Visit>().swap(by_person);  // grouped holds the day now
     const std::vector<Visit>& visits = grouped.visits;
 
     // --- Contact inference: sub-location co-occupancy for this day -------

@@ -4,6 +4,7 @@
 // Chrome trace, and the logging satellite (EPI_LOG_LEVEL parser + sink).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "resilience/fault_injector.hpp"
 #include "service/request.hpp"
 #include "service/service.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -249,6 +251,47 @@ TEST(MetricsRegistry, HistogramTailsAndPercentiles) {
   const Json& one = again.at("histograms").at("one");
   EXPECT_DOUBLE_EQ(one.at("p50").as_double(), 5.0);
   EXPECT_DOUBLE_EQ(one.at("p99").as_double(), 5.0);
+}
+
+TEST(MetricsRegistry, MergeStateRejectsCorruptBlobs) {
+  MetricsRegistry child;
+  child.add("c", 3);
+  child.observe("h", 2.0, {1.0, 4.0});
+  const std::vector<std::byte> blob = child.serialize_state();
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    MetricsRegistry parent;
+    const auto end = blob.begin() + static_cast<std::ptrdiff_t>(cut);
+    const std::vector<std::byte> part(blob.begin(), end);
+    EXPECT_THROW(parent.merge_state(part), Error) << "cut at " << cut;
+  }
+  // A histogram with one bucket fewer than its bounds imply: merging it
+  // into a matching one would read past its counts.
+  ByteWriter out;
+  out.u64(0);  // counters
+  out.u64(0);  // gauges
+  out.u64(1);  // histograms
+  out.str("h");
+  out.u64(2);
+  out.f64(1.0);
+  out.f64(4.0);
+  out.u64(2);  // buckets: bounds + 1 = 3 expected
+  out.u64(0);
+  out.u64(1);
+  out.u64(1);  // count
+  out.u64(0);  // underflow
+  out.f64(2.0);
+  out.f64(2.0);
+  out.f64(2.0);
+  MetricsRegistry parent;
+  parent.observe("h", 3.0, {1.0, 4.0});
+  try {
+    parent.merge_state(out.take());
+    ADD_FAILURE() << "no error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("metrics state blob"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------ nightly integration ----
