@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <initializer_list>
 #include <string_view>
+#include <type_traits>
 
 #include "epihiper/scripted.hpp"
 #include "util/error.hpp"
@@ -18,6 +19,15 @@ constexpr std::uint64_t kRoCoin = 0x524fULL;         // "RO"
 constexpr std::uint64_t kTaCoin = 0x5441ULL;         // "TA"
 constexpr std::uint64_t kCtIndexCoin = 0x435449ULL;  // "CTI"
 constexpr std::uint64_t kCtTraceCoin = 0x435454ULL;  // "CTT"
+
+/// Wire format of a tracing-frontier entry routed to its owner rank.
+struct FrontierRecord {
+  PersonId person;
+  std::int32_t depth;
+};
+static_assert(std::is_trivially_copyable_v<FrontierRecord> &&
+                  sizeof(FrontierRecord) == 8,
+              "FrontierRecord is a packed wire struct");
 
 }  // namespace
 
@@ -206,25 +216,22 @@ void ContactTracing::apply(Simulation& sim) {
   std::vector<std::pair<PersonId, int>> local_frontier;
   if (sim.comm() != nullptr) {
     auto* comm = sim.comm();
-    std::vector<std::vector<std::uint64_t>> outbox(
+    std::vector<std::vector<FrontierRecord>> outbox(
         static_cast<std::size_t>(comm->size()));
     for (const auto& [person, depth] : frontier_) {
       if (sim.is_local(person)) {
         local_frontier.emplace_back(person, depth);
       } else {
-        auto& box = outbox[sim.owner(person)];
-        box.push_back(person);
-        box.push_back(static_cast<std::uint64_t>(depth));
+        outbox[sim.owner(person)].push_back(FrontierRecord{person, depth});
       }
     }
     const auto inbox = comm->alltoallv(outbox);
     for (const auto& messages : inbox) {
-      for (std::size_t i = 0; i + 1 < messages.size(); i += 2) {
-        const auto person = static_cast<PersonId>(messages[i]);
-        EPI_ASSERT(sim.is_local(person),
-                   "misrouted contact-tracing frontier entry " << person);
-        local_frontier.emplace_back(person,
-                                    static_cast<int>(messages[i + 1]));
+      for (const FrontierRecord& record : messages) {
+        EPI_ASSERT(sim.is_local(record.person),
+                   "misrouted contact-tracing frontier entry "
+                       << record.person);
+        local_frontier.emplace_back(record.person, record.depth);
       }
     }
   } else {

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 
 #include "obs/trace.hpp"
 
@@ -40,11 +41,20 @@ Hub::~Hub() = default;
 namespace {
 
 /// Marks a rank blocked for the checker's deadlock watchdog; restores the
-/// running state on scope exit (including abort-driven unwinds).
+/// running state on scope exit (including abort-driven unwinds). `what`
+/// describes the blocked operation: a string, or a callable returning one,
+/// called only when a checker is installed, so that an unchecked run
+/// formats no description.
 struct BlockGuard {
-  BlockGuard(CommChecker* checker, int rank, std::string what)
+  template <typename What>
+  BlockGuard(CommChecker* checker, int rank, const What& what)
       : checker_(checker), rank_(rank) {
-    if (checker_ != nullptr) checker_->enter_blocked(rank_, std::move(what));
+    if (checker_ == nullptr) return;
+    if constexpr (std::is_invocable_v<const What&>) {
+      checker_->enter_blocked(rank_, std::string(what()));
+    } else {
+      checker_->enter_blocked(rank_, std::string(what));
+    }
   }
   ~BlockGuard() {
     if (checker_ != nullptr) checker_->exit_blocked(rank_);
@@ -280,7 +290,8 @@ detail::CommChecker* Comm::checker() const { return hub_->checker.get(); }
 /// A blocking take annotated as a blocked state for the deadlock watchdog:
 /// from this rank's mailbox (thread backend) or the (source -> rank) ring
 /// (shm backend).
-Bytes Comm::take_blocking(int source, int tag, const std::string& what) {
+template <typename What>
+Bytes Comm::take_blocking(int source, int tag, const What& what) {
   detail::BlockGuard guard(checker(), rank_, what);
   if (hub_->shm) return shm_take(source, tag);
   return hub_->mailboxes[static_cast<std::size_t>(rank_)]->take(source, tag);
@@ -324,9 +335,10 @@ void Comm::send_bytes(int dest, int tag, std::span<const std::byte> data) {
       // Unlike the unbounded thread mailboxes, a ring send blocks under
       // backpressure (rendezvous-like, as real MPI may); mark it for the
       // watchdog so a never-received giant send is diagnosed, not hung.
-      detail::BlockGuard guard(checker(), rank_,
-                               "send(dest=" + std::to_string(dest) +
-                                   ", tag=" + std::to_string(tag) + ")");
+      detail::BlockGuard guard(checker(), rank_, [dest, tag] {
+        return "send(dest=" + std::to_string(dest) +
+               ", tag=" + std::to_string(tag) + ")";
+      });
       hub_->shm->push_message(rank_, dest, tag, data, checker(), rank_);
     }
   } else {
@@ -343,14 +355,16 @@ Bytes Comm::recv_bytes(int source, int tag) {
   auto* chk = checker();
   if (chk != nullptr) chk->on_recv_args(rank_, source, tag, size());
   EPI_REQUIRE(source >= 0 && source < size(), "recv from invalid rank " << source);
-  const std::string what = "recv(source=" + std::to_string(source) +
-                           ", tag=" + std::to_string(tag) + ")";
+  const auto what = [source, tag] {
+    return "recv(source=" + std::to_string(source) +
+           ", tag=" + std::to_string(tag) + ")";
+  };
   Bytes payload = take_blocking(source, tag, what);
   detail::record_flow(*hub_, /*is_send=*/false, source, rank_, tag,
                       payload.size());
   if (chk != nullptr) {
     chk->on_delivered(rank_, source, tag);
-    chk->on_op_complete(rank_, what);
+    chk->on_op_complete(rank_, what());
   }
   return payload;
 }
@@ -409,10 +423,10 @@ Bytes Comm::allgatherv_bytes(Bytes mine) {
       if (source == rank_) {
         result.insert(result.end(), mine.begin(), mine.end());
       } else {
-        Bytes part =
-            take_blocking(source, detail::kTagAllgather,
-                          "allgatherv: waiting for the contribution of rank " +
-                              std::to_string(source));
+        Bytes part = take_blocking(source, detail::kTagAllgather, [source] {
+          return "allgatherv: waiting for the contribution of rank " +
+                 std::to_string(source);
+        });
         result.insert(result.end(), part.begin(), part.end());
       }
     }
@@ -455,9 +469,10 @@ std::vector<Bytes> Comm::alltoallv_bytes(const std::vector<Bytes>& outbox) {
     for (int source = 0; source < size(); ++source) {
       if (source == rank_) continue;
       inbox[static_cast<std::size_t>(source)] =
-          take_blocking(source, detail::kTagAlltoall,
-                        "alltoallv: waiting for the slice from rank " +
-                            std::to_string(source));
+          take_blocking(source, detail::kTagAlltoall, [source] {
+            return "alltoallv: waiting for the slice from rank " +
+                   std::to_string(source);
+          });
     }
   }
   if (!scope.outer()) {
@@ -553,8 +568,9 @@ std::vector<double> Comm::broadcast(std::vector<double> value, int root) {
       }
     }
     if (hub_->shm) {
-      detail::BlockGuard guard(
-          chk, rank_, "broadcast(root=" + std::to_string(root) + ")");
+      detail::BlockGuard guard(chk, rank_, [root] {
+        return "broadcast(root=" + std::to_string(root) + ")";
+      });
       hub_->shm->broadcast(rank_, root, raw, chk);
     }
     if (!scope.outer()) {
@@ -566,15 +582,14 @@ std::vector<double> Comm::broadcast(std::vector<double> value, int root) {
     return value;
   }
   Bytes raw;
+  const auto waiting = [root] {
+    return "broadcast: waiting for root " + std::to_string(root);
+  };
   if (hub_->shm) {
-    detail::BlockGuard guard(chk, rank_,
-                             "broadcast: waiting for root " +
-                                 std::to_string(root));
+    detail::BlockGuard guard(chk, rank_, waiting);
     raw = hub_->shm->broadcast(rank_, root, Bytes{}, chk);
   } else {
-    raw = take_blocking(root, detail::kTagBroadcast,
-                        "broadcast: waiting for root " +
-                            std::to_string(root));
+    raw = take_blocking(root, detail::kTagBroadcast, waiting);
   }
   std::vector<double> out(raw.size() / sizeof(double));
   std::memcpy(out.data(), raw.data(), raw.size());

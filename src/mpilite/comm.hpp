@@ -242,7 +242,10 @@ class Comm {
   /// The one allreduce body behind both element types (comm.cpp).
   template <typename T>
   std::vector<T> allreduce_impl(std::span<const T> values, ReduceOp op);
-  Bytes take_blocking(int source, int tag, const std::string& what);
+  /// `what` describes the blocked receive for the checker: a string, or a
+  /// callable that formats one only when a checker is installed (comm.cpp).
+  template <typename What>
+  Bytes take_blocking(int source, int tag, const What& what);
   Bytes allgatherv_bytes(Bytes mine);
   std::vector<Bytes> alltoallv_bytes(const std::vector<Bytes>& outbox);
   Bytes shm_take(int source, int tag);

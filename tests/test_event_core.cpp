@@ -443,6 +443,131 @@ TEST(EventCore, ProgressionAccountingBalances) {
   EXPECT_EQ(parallel.events_stale, serial.events_stale);
 }
 
+// --- Progression calendar -------------------------------------------------
+
+// S, seeded into A; A -> C, 5 ticks for persons under 18 and 6 for the
+// rest; B -> C, 3 ticks; C -> D, 100 ticks; D terminal. Nothing is
+// infectious.
+struct CalendarModel {
+  DiseaseModel model;
+  HealthStateId a = kNoState, b = kNoState, c = kNoState;
+};
+
+CalendarModel calendar_model() {
+  const auto edge = [](HealthStateId to, double young_days, double days) {
+    ProgressionEdge e;
+    e.to = to;
+    e.probability.fill(1.0);
+    for (int g = 0; g < kAgeGroupCount; ++g) {
+      e.dwell[static_cast<std::size_t>(g)] = DwellTime::fixed(
+          g < static_cast<int>(AgeGroup::kAdult) ? young_days : days);
+    }
+    return e;
+  };
+  CalendarModel m;
+  m.model.set_initial_state(m.model.add_state(HealthState{"S", 0.0, 1.0}));
+  m.a = m.model.add_state(HealthState{"A"});
+  m.b = m.model.add_state(HealthState{"B"});
+  m.c = m.model.add_state(HealthState{"C"});
+  const HealthStateId d = m.model.add_state(HealthState{"D"});
+  m.model.add_progression(m.a, edge(m.c, 5, 6));
+  m.model.add_progression(m.b, edge(m.c, 3, 3));
+  m.model.add_progression(m.c, edge(d, 100, 100));
+  m.model.set_seed_state(m.a);
+  return m;
+}
+
+// Moves every local person in `from` to `to` at tick `at`, and lets the
+// engine skip every other tick.
+class ForceAt : public Intervention {
+ public:
+  ForceAt(Tick at, HealthStateId from, HealthStateId to)
+      : at_(at), from_(from), to_(to) {}
+  std::string name() const override { return "force-at"; }
+  void apply(Simulation& sim) override {
+    if (sim.tick() != at_) return;
+    for (PersonId p = sim.local_begin(); p < sim.local_end(); ++p) {
+      if (sim.health(p) == from_) sim.force_transition(p, to_);
+    }
+  }
+  Tick quiescent_until(const Simulation& sim) const override {
+    return sim.tick() < at_ ? at_ : std::numeric_limits<Tick>::max();
+  }
+
+ private:
+  Tick at_;
+  HealthStateId from_, to_;
+};
+
+constexpr std::uint32_t kCalendarSeeds = 300;
+constexpr Tick kCalendarTicks = 20;
+
+// Every seed enters A at tick 0 and is moved on to B at tick 3, whose
+// progression is due at tick 6. For adults A's was due at tick 6 too:
+// superseded, then rescheduled onto the same tick, so bucket 6 lists them
+// twice. For the young it was due at tick 5, whose bucket then holds
+// stale entries only. C's progression is due at tick 106, past the last.
+SimOutput calendar_run(int ranks, const CalendarModel& m) {
+  SimulationConfig config;
+  config.num_ticks = kCalendarTicks;
+  config.seeds = {SeedSpec{0, kCalendarSeeds, 0}};
+  const InterventionFactory factory = [&m] {
+    return std::vector<std::shared_ptr<Intervention>>{
+        std::make_shared<ForceAt>(3, m.a, m.b)};
+  };
+  return ranks == 1 ? run_dc(config, m.model, factory)
+                    : run_on_ranks(ranks, test_region(), config, m.model,
+                                   factory);
+}
+
+TEST(EventCore, CalendarFiresARescheduledProgressionOnce) {
+  const CalendarModel m = calendar_model();
+  for (const int ranks : {1, 2, 4, 8}) {
+    SCOPED_TRACE(ranks);
+    const SimOutput out = calendar_run(ranks, m);
+    std::map<PersonId, std::vector<std::pair<Tick, HealthStateId>>> lives;
+    for (const TransitionEvent& e : out.transitions) {
+      lives[e.person].emplace_back(e.tick, e.exit_state);
+    }
+    ASSERT_EQ(lives.size(), kCalendarSeeds);
+    std::uint32_t young = 0;
+    for (const auto& [person, life] : lives) {
+      EXPECT_EQ(life, (std::vector<std::pair<Tick, HealthStateId>>{
+                          {0, m.a}, {3, m.b}, {6, m.c}}))
+          << "person " << person;
+      if (test_region().population.age_group(person) < AgeGroup::kAdult) {
+        ++young;
+      }
+    }
+    // Both kinds of stale entry occur.
+    EXPECT_GT(young, 0u);
+    EXPECT_LT(young, kCalendarSeeds);
+    EXPECT_EQ(out.events_fired, kCalendarSeeds);
+    EXPECT_EQ(out.events_stale, kCalendarSeeds);
+    // Ticks 0, 3 and 6 run. Tick 5's bucket holds only stale entries, so
+    // the engine skips it like every other quiet tick.
+    EXPECT_EQ(out.ticks_executed, 3u);
+    EXPECT_EQ(out.ticks_skipped,
+              static_cast<std::uint64_t>(kCalendarTicks) - 3);
+  }
+}
+
+TEST(EventCore, CalendarKeepsProgressionsPastTheLastTickPending) {
+  const CalendarModel m = calendar_model();
+  for (const int ranks : {1, 2, 4, 8}) {
+    SCOPED_TRACE(ranks);
+    const SimOutput out = calendar_run(ranks, m);
+    // A, B and C each scheduled one progression per seed; C's, due at tick
+    // 106, never fires and is neither fired nor stale.
+    EXPECT_EQ(out.events_scheduled, 3u * kCalendarSeeds);
+    EXPECT_EQ(out.events_scheduled,
+              out.events_fired + out.events_stale + kCalendarSeeds);
+    EXPECT_EQ(std::count(out.final_states.begin(), out.final_states.end(),
+                         m.c),
+              static_cast<std::ptrdiff_t>(kCalendarSeeds));
+  }
+}
+
 // --- Quiescence skipping --------------------------------------------------
 
 // Seeds landing late leave a long dormant prefix: the engine must jump
