@@ -53,11 +53,8 @@ run_plain() {
   # test. InvalidRankOrTagThrows seeds deliberate misuse inside
   # EXPECT_THROW and is excluded — the checker reporting it is the
   # expected behaviour, exercised by tests/test_mpilite_check.cpp.
-  # UnreceivedMessagesLeaveNoDanglingEdges intentionally leaves a send
-  # unmatched to prove flow export emits no dangling edges, which the
-  # checker rightly flags as a message leak.
   EPI_MPILITE_CHECK=1 ctest --test-dir build --output-on-failure -j "$JOBS" \
-    -R 'Mpilite|Parallel|Ghost' -E 'InvalidRankOrTag|UnreceivedMessages'
+    -R 'Mpilite|Parallel|Ghost' -E 'InvalidRankOrTag'
 
   echo "== trace pass (EPI_TRACE) =="
   # Run the nightly example twice with tracing on and deterministic
@@ -128,12 +125,12 @@ run_proc() {
     -R 'Mpilite|EventCore|Parallel|Ghost'
 
   echo "== CommChecker pass under forked ranks =="
-  # Same exclusions as the plain lane's checker pass (deliberate misuse
-  # and deliberate leaks), now with the watchdog reading cross-process
-  # state from the segment's checker slots.
+  # Same exclusion as the plain lane's checker pass (deliberate misuse),
+  # now with the watchdog reading cross-process state from the segment's
+  # checker slots.
   EPI_MPILITE_BACKEND=shm EPI_MPILITE_CHECK=1 \
     ctest --test-dir build --output-on-failure -j "$JOBS" \
-    -R 'Mpilite|Parallel|Ghost' -E 'InvalidRankOrTag|UnreceivedMessages'
+    -R 'Mpilite|Parallel|Ghost' -E 'InvalidRankOrTag'
 
   echo "== comm-volume bench under forked ranks =="
   # bench_comm_volume exits nonzero if its 8-rank epidemic differs from

@@ -18,7 +18,6 @@ constexpr std::uint64_t kPurposeTransmission = 0x5452414eULL;  // "TRAN"
 constexpr std::uint64_t kPurposeProgression = 0x50524f47ULL;   // "PROG"
 constexpr std::uint64_t kPurposeSeed = 0x53454544ULL;          // "SEED"
 constexpr std::uint64_t kPurposeCoin = 0x434f494eULL;          // "COIN"
-constexpr int kTagIsolation = 7;
 
 // Kernel switch: pull when the infectious count gathered at the end of the
 // last executed tick, times kPullDenom, reaches the network's node count
@@ -47,13 +46,6 @@ It gallop_lower_bound(It first, It last, const T& value) {
   }
   return std::lower_bound(first, last, value);
 }
-
-/// Wire format of the owner-routed isolation requests.
-struct IsolationRequest {
-  PersonId person;
-  Tick until;
-};
-static_assert(std::is_trivially_copyable_v<IsolationRequest>);
 
 /// Keeps the `count` smallest (hash, person) seeding candidates, ascending.
 /// The pairs are unique (one per person), so this is the prefix a full
@@ -267,8 +259,7 @@ std::int64_t Simulation::global_state_count(HealthStateId state) {
       // Exact integer sum: the double path loses precision above 2^53,
       // which population-scale occupancy counts can exceed.
       cached_global_counts_ = comm_->allreduce(
-          std::span<const std::int64_t>(local_state_counts_),
-          mpilite::ReduceOp::kSum);
+          std::span<const std::int64_t>(local_state_counts_));
     }
   }
   return (*cached_global_counts_)[state];
@@ -315,19 +306,15 @@ bool Simulation::context_closed(ActivityType context) const {
 }
 
 void Simulation::isolate(PersonId p, Tick until) {
-  if (is_local(p)) {
-    Tick& slot = isolated_until_[p - local_begin_];
-    slot = std::max(slot, until);
-    // Scheduled-change accounting: an isolation schedules a deactivation
-    // and a reactivation record for each of the person's contacts (the
-    // deferred action lists that make intervention-heavy runs grow in
-    // memory, Fig 10).
-    intervention_log_bytes_ +=
-        2 * (network_.in_end(p) - network_.in_begin(p)) *
-        (sizeof(EdgeIndex) + sizeof(Tick));
-  } else {
-    pending_remote_isolations_.emplace_back(p, until);
-  }
+  EPI_REQUIRE(is_local(p), "isolate() is local-only; person " << p);
+  Tick& slot = isolated_until_[p - local_begin_];
+  slot = std::max(slot, until);
+  // Scheduled-change accounting: an isolation schedules a deactivation
+  // and a reactivation record for each of the person's contacts (the
+  // deferred action lists that make intervention-heavy runs grow in
+  // memory, Fig 10).
+  intervention_log_bytes_ += 2 * (network_.in_end(p) - network_.in_begin(p)) *
+                             (sizeof(EdgeIndex) + sizeof(Tick));
 }
 
 bool Simulation::is_isolated(PersonId p) const {
@@ -477,9 +464,7 @@ void Simulation::transition_person(PersonId p, HealthStateId new_state,
       local_infectious_pos_[li] = 0;
     }
   }
-  if (config_.record_transitions) {
-    output_.transitions.push_back(TransitionEvent{tick_, p, new_state, cause});
-  }
+  output_.transitions.push_back(TransitionEvent{tick_, p, new_state, cause});
   if (cause != kNoPerson) {
     ++output_.total_infections;
     ++output_.new_infections_per_tick.back();
@@ -535,29 +520,6 @@ void Simulation::seed_infections() {
     }
     for (const auto& [h, p] : candidates) {
       if (is_local(p)) transition_person(p, model_.seed_state(), kNoPerson);
-    }
-  }
-}
-
-void Simulation::exchange_remote_isolation_requests() {
-  if (comm_ == nullptr) {
-    EPI_ASSERT(pending_remote_isolations_.empty(),
-               "remote isolation queued in a serial run");
-    return;
-  }
-  // Route each request to the owner rank as typed POD records (no uint64
-  // flattening round-trip; half the bytes of the old encoding).
-  std::vector<std::vector<IsolationRequest>> outbox(
-      static_cast<std::size_t>(comm_->size()));
-  for (const auto& [person, until] : pending_remote_isolations_) {
-    outbox[owner(person)].push_back(IsolationRequest{person, until});
-  }
-  pending_remote_isolations_.clear();
-  const auto inbox = comm_->alltoallv(outbox);
-  for (const auto& messages : inbox) {
-    for (const IsolationRequest& request : messages) {
-      EPI_ASSERT(is_local(request.person), "misrouted isolation request");
-      isolate(request.person, request.until);
     }
   }
 }
@@ -628,6 +590,37 @@ void Simulation::finish_candidate(PersonId p, double rate_sum) {
   transition_person(p, to, slot_person_[slot]);
 }
 
+// Forced inline: this is the innermost loop body of both kernels, and at
+// -O2 GCC otherwise leaves a call per candidate edge (the two push_backs
+// put it over the inliner's size limit).
+[[gnu::always_inline]] inline void Simulation::add_candidate(
+    EdgeIndex e, const Contact& c, PersonId p, std::uint32_t slot,
+    std::size_t omega_row, double sigma, double& rate_sum) {
+  const double omega = transmission_omega_[omega_row + slot_state_[slot]];
+  if (omega <= 0.0) return;
+  if (!edge_transmissible(e, p, slot_isolated_[slot] != 0,
+                          slot_stay_home_[slot] != 0)) {
+    return;
+  }
+  // Eq (1): rho = T * w_e * sigma(Ps) * iota(Pi) * omega, with contact
+  // duration T expressed as a fraction of the one-day tick and w_e the
+  // static weight times any dynamic scaling. sigma is loop-invariant and
+  // hoisted by the caller, and iota comes premultiplied from the SoA
+  // slots; neither moves an operand in the product, so every rho is the
+  // bit-identical double the per-edge form produced.
+  const double duration_fraction = c.duration_minutes / 1440.0;
+  const double weight =
+      edge_weight_scale_.empty()
+          ? c.weight
+          : c.weight * edge_weight_scale_[e - edge_offset_];
+  const double rho =
+      duration_fraction * weight * sigma * slot_iota_[slot] * omega;
+  if (rho <= 0.0) return;
+  rate_sum += rho;
+  candidate_rho_.push_back(rho);
+  candidate_slots_.push_back(slot);
+}
+
 void Simulation::step_transmissions_pull() {
   // Rescan every local susceptible person's in-edges, finding each
   // source's record slot through a person-indexed lookup. A rank that
@@ -642,7 +635,6 @@ void Simulation::step_transmissions_pull() {
   }
 
   const std::size_t state_count = model_.state_count();
-  const bool weights_scaled = !edge_weight_scale_.empty();
   std::uint64_t work = 0;
   for (PersonId p = local_begin_; p < local_end_; ++p) {
     const NodeState& node = nodes_[p - local_begin_];
@@ -661,27 +653,7 @@ void Simulation::step_transmissions_pull() {
       const Contact& c = network_.contact(e);
       const std::uint32_t slot = infectious_lookup_[c.source];
       if (slot == 0) continue;
-      const double omega = transmission_omega_[omega_row + slot_state_[slot - 1]];
-      if (omega <= 0.0) continue;
-      if (!edge_transmissible(e, p, slot_isolated_[slot - 1] != 0,
-                              slot_stay_home_[slot - 1] != 0)) {
-        continue;
-      }
-      // Eq (1): rho = T * w_e * sigma(Ps) * iota(Pi) * omega, with contact
-      // duration T expressed as a fraction of the one-day tick and w_e the
-      // static weight times any dynamic scaling. sigma is loop-invariant
-      // and hoisted; its operand position in the product is unchanged, so
-      // every rho is the bit-identical double the per-edge form produced.
-      const double duration_fraction = c.duration_minutes / 1440.0;
-      const double weight =
-          weights_scaled ? c.weight * edge_weight_scale_[e - edge_offset_]
-                         : c.weight;
-      const double rho =
-          duration_fraction * weight * sigma * slot_iota_[slot - 1] * omega;
-      if (rho <= 0.0) continue;
-      rate_sum += rho;
-      candidate_rho_.push_back(rho);
-      candidate_slots_.push_back(slot - 1);
+      add_candidate(e, c, p, slot - 1, omega_row, sigma, rate_sum);
     }
     finish_candidate(p, rate_sum);
   }
@@ -834,7 +806,6 @@ void Simulation::step_transmissions_push() {
       hit_blocks_, hits_);
 
   const std::size_t state_count = model_.state_count();
-  const bool weights_scaled = !edge_weight_scale_.empty();
   std::uint64_t groups = 0;
   PersonId next_target = local_begin_;  // at or below every target ahead
   std::size_t i = 0;
@@ -861,28 +832,9 @@ void Simulation::step_transmissions_push() {
     double rate_sum = 0.0;
     for (std::size_t k = i; k < j; ++k) {
       const EdgeIndex e = edge_offset_ + (hits_[k] >> 32);
-      const auto slot = static_cast<std::uint32_t>(hits_[k]);
-      const double omega = transmission_omega_[omega_row + slot_state_[slot]];
-      if (omega <= 0.0) continue;
-      if (!edge_transmissible(e, p, slot_isolated_[slot] != 0,
-                              slot_stay_home_[slot] != 0)) {
-        continue;
-      }
-      // Eq (1), identical arithmetic and filter order to the pull
-      // kernel (same rho values in the same candidate positions); the
-      // source fields come from the dense SoA arrays and sigma is hoisted
-      // per target, neither of which perturbs a single double bit.
-      const Contact& c = network_.contact(e);
-      const double duration_fraction = c.duration_minutes / 1440.0;
-      const double weight =
-          weights_scaled ? c.weight * edge_weight_scale_[e - edge_offset_]
-                         : c.weight;
-      const double rho =
-          duration_fraction * weight * sigma * slot_iota_[slot] * omega;
-      if (rho <= 0.0) continue;
-      rate_sum += rho;
-      candidate_rho_.push_back(rho);
-      candidate_slots_.push_back(slot);
+      add_candidate(e, network_.contact(e), p,
+                    static_cast<std::uint32_t>(hits_[k]), omega_row, sigma,
+                    rate_sum);
     }
     finish_candidate(p, rate_sum);
     i = j;
@@ -934,7 +886,7 @@ Tick Simulation::next_active_tick() const {
   // This rank's bid for the next tick that needs real work:
   //   - tick_ + 1 whenever transmission or an owed exchange could still
   //     happen: a live local frontier, subscribed ghost infectious persons,
-  //     unsent advert deltas/tombstones, or queued remote isolations;
+  //     or unsent advert deltas/tombstones;
   //   - the next configured seeding tick (seeding is collective);
   //   - each intervention's quiescent_until() hint. Hints may be rank-local
   //     (trait triggers, local counts): agree_next_tick() turns the most
@@ -942,7 +894,7 @@ Tick Simulation::next_active_tick() const {
   //   - the earliest calendar bucket with a live entry.
   const Tick soonest = tick_ + 1;
   if (!local_infectious_.empty() || !ghost_active_.empty() ||
-      !advertised_.empty() || !pending_remote_isolations_.empty()) {
+      !advertised_.empty()) {
     return soonest;
   }
   Tick next = kNever;
@@ -999,7 +951,6 @@ SimOutput Simulation::run() {
     output_.new_infections_per_tick.push_back(0);
     output_.frontier_edges_per_tick.push_back(0);
 
-    exchange_remote_isolation_requests();
     seed_infections();
     step_transmissions();
     step_progressions();

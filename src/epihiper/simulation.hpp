@@ -87,9 +87,6 @@ struct SimulationConfig {
   std::uint64_t seed = 1;
   std::uint32_t replicate = 0;
   std::vector<SeedSpec> seeds;
-  /// Record individual transition events (raw output). Aggregates are
-  /// always recorded.
-  bool record_transitions = true;
 };
 
 /// Simulation output for one replicate.
@@ -239,8 +236,7 @@ class Simulation {
   bool context_closed(ActivityType context) const;
 
   /// Isolates person p (all non-home contacts inactive) through tick
-  /// `until`. Works for remote persons too: the request is routed to the
-  /// owner at the next tick boundary.
+  /// `until`. Local persons only.
   void isolate(PersonId p, Tick until);
   bool is_isolated(PersonId p) const;  // local persons only
 
@@ -319,6 +315,16 @@ class Simulation {
   void step_transmissions();
   void step_transmissions_pull();
   void step_transmissions_push();
+  /// The per-candidate body of both kernels, for in-edge e (contact c) of
+  /// susceptible local person p from the source in record `slot`, given
+  /// p's row of the ω lookup and σ: filters on ω, then on the edge's
+  /// dynamic state, then on Eq (1)'s ρ, and appends a surviving candidate
+  /// and adds its ρ to rate_sum. Both kernels visit a target's candidates
+  /// in ascending EdgeIndex order, so they collect the same ρ values in
+  /// the same positions and every RNG draw is identical.
+  void add_candidate(EdgeIndex e, const Contact& c, PersonId p,
+                     std::uint32_t slot, std::size_t omega_row, double sigma,
+                     double& rate_sum);
   void exchange_ghost_deltas();
   void build_ghost_plan(const Partitioning& partitioning);
   /// Rebuilds the per-tick SoA mirror (slot_* arrays) of `records` for the
@@ -332,11 +338,9 @@ class Simulation {
   /// entries only.
   void release_skipped_bucket(Tick t);
   void apply_interventions();
-  void exchange_remote_isolation_requests();
   /// The earliest future tick at which this rank might need to do any
-  /// work: frontier/halo activity, queued isolation requests, pending
-  /// seeds, interventions' quiescence hints, the earliest calendar bucket
-  /// with a live entry.
+  /// work: frontier/halo activity, pending seeds, interventions'
+  /// quiescence hints, the earliest calendar bucket with a live entry.
   Tick next_active_tick() const;
   /// The end-of-tick collective: one allgatherv of every rank's
   /// (next_active_tick, local infectious count). Stores the global count
@@ -441,7 +445,6 @@ class Simulation {
   std::vector<std::uint32_t> candidate_slots_;
 
   std::vector<std::vector<PersonId>> entered_by_state_;
-  std::vector<std::pair<PersonId, Tick>> pending_remote_isolations_;
   std::vector<std::int64_t> local_state_counts_;
   std::optional<std::vector<std::int64_t>> cached_global_counts_;
 

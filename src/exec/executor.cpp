@@ -1,7 +1,5 @@
 #include "exec/executor.hpp"
 
-#include <algorithm>
-
 #include "util/env.hpp"
 
 namespace epi::exec {
@@ -12,17 +10,9 @@ std::size_t resolve_jobs(std::size_t config_jobs) {
   return config_jobs != 0 ? config_jobs : jobs_from_env();
 }
 
-std::size_t effective_workers(std::size_t jobs, std::size_t ranks_per_task,
-                              std::size_t items) {
+std::size_t effective_workers(std::size_t jobs, std::size_t items) {
   std::size_t workers = jobs == 0 ? 1 : jobs;
   if (items < workers) workers = items;
-  if (ranks_per_task > 1) {
-    // Each task multiplies into ranks_per_task real threads; cap the
-    // product against the hardware so a 8-worker farm of 4-rank
-    // simulations does not ask one machine for 32 hot threads.
-    const std::size_t cap = hardware_limit() / ranks_per_task;
-    workers = std::min(workers, cap == 0 ? std::size_t{1} : cap);
-  }
   return workers == 0 ? 1 : workers;
 }
 

@@ -30,10 +30,6 @@
 //
 // Concurrency comes from ExecConfig::jobs; 0 defers to the EPI_JOBS
 // environment variable (default 1, so existing binaries stay serial).
-// When a task itself runs rank-parallel (run_simulation_parallel spawns
-// mpilite ranks as real threads) the caller declares ranks_per_task and
-// the pool caps workers so workers x ranks does not oversubscribe the
-// hardware.
 //
 // Observability (src/obs/): task spans land on per-worker lanes of an
 // "exec" trace process, `exec.tasks` / `exec.steal` counters and an
@@ -80,11 +76,6 @@ struct ExecConfig {
   /// Worker threads; 0 = resolve from the EPI_JOBS environment variable
   /// (default 1: the serial seed path).
   std::size_t jobs = 0;
-  /// Threads each task spawns internally (mpilite ranks run as threads);
-  /// the pool caps workers so workers x ranks_per_task stays within
-  /// hardware concurrency. 1 = tasks are single-threaded (no cap beyond
-  /// the item count).
-  std::size_t ranks_per_task = 1;
   /// Span-name prefix for task spans ("<label>[<index>]").
   std::string label = "task";
   ExecObs obs;
@@ -99,13 +90,10 @@ std::size_t jobs_from_env();
 std::size_t resolve_jobs(std::size_t config_jobs);
 
 /// Worker count actually used for `items` tasks: `jobs`, capped by the
-/// item count, and — when ranks_per_task > 1 — capped so that
-/// workers x ranks_per_task <= hardware_limit() (never below 1). An
-/// explicitly requested jobs count with single-threaded tasks is honored
-/// even above the core count: oversubscribed workers only cost
-/// time-slicing, while the rank product can multiply far past it.
-std::size_t effective_workers(std::size_t jobs, std::size_t ranks_per_task,
-                              std::size_t items);
+/// item count (never below 1). An explicitly requested jobs count is
+/// honored even above the core count: oversubscribed workers only cost
+/// time-slicing.
+std::size_t effective_workers(std::size_t jobs, std::size_t items);
 
 namespace detail {
 
@@ -135,8 +123,7 @@ auto parallel_index_map(std::size_t count, Fn&& fn,
                 "parallel_index_map tasks must return a value; return a "
                 "placeholder from side-effect-free tasks");
   const std::size_t workers =
-      effective_workers(resolve_jobs(config.jobs), config.ranks_per_task,
-                        count);
+      effective_workers(resolve_jobs(config.jobs), count);
   const bool record = config.obs.metrics != nullptr ||
                       config.obs.trace != nullptr;
 

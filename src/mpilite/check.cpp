@@ -36,28 +36,12 @@ namespace detail {
 
 const char* to_string(CollectiveKind kind) {
   switch (kind) {
-    case CollectiveKind::kBarrier: return "barrier";
     case CollectiveKind::kAllreduce: return "allreduce";
     case CollectiveKind::kAllgatherv: return "allgatherv";
     case CollectiveKind::kAlltoallv: return "alltoallv";
-    case CollectiveKind::kBroadcast: return "broadcast";
   }
   return "unknown";
 }
-
-namespace {
-
-const char* reduce_op_name(int op) {
-  switch (op) {
-    case 0: return "sum";
-    case 1: return "min";
-    case 2: return "max";
-    case 3: return "logical_or";
-  }
-  return "?";
-}
-
-}  // namespace
 
 CommChecker::CommChecker(int num_ranks, const CheckOptions& options)
     : num_ranks_(num_ranks),
@@ -160,21 +144,12 @@ void CommChecker::on_delivered(int rank, int source, int tag) {
   ++delivered_[{source, rank, tag}];
 }
 
-void CommChecker::on_collective(int rank, CollectiveKind kind, int root,
-                                int op, std::size_t count,
-                                bool count_must_agree) {
+void CommChecker::on_collective(int rank, CollectiveKind kind,
+                                std::size_t count) {
   bump_progress(rank);
-  if (kind == CollectiveKind::kBroadcast &&
-      (root < 0 || root >= num_ranks_)) {
-    std::ostringstream oss;
-    oss << "broadcast with root " << root << " but the communicator has "
-        << "ranks 0.." << num_ranks_ - 1;
-    record(CheckKind::kRankMisuse, rank, oss.str());
-    throw CheckError("mpilite check: " + oss.str());
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   history_[static_cast<std::size_t>(rank)].push_back(
-      CollectiveRecord{kind, root, op, count, count_must_agree});
+      CollectiveRecord{kind, count});
 }
 
 void CommChecker::enter_blocked(int rank, std::string what) {
@@ -327,16 +302,8 @@ void CommChecker::watchdog_loop() {
 std::string CommChecker::describe(const CollectiveRecord& rec) {
   std::ostringstream oss;
   oss << to_string(rec.kind);
-  switch (rec.kind) {
-    case CollectiveKind::kAllreduce:
-      oss << "(op=" << reduce_op_name(rec.op) << ", count=" << rec.count
-          << ")";
-      break;
-    case CollectiveKind::kBroadcast:
-      oss << "(root=" << rec.root << ")";
-      break;
-    default:
-      break;
+  if (rec.kind == CollectiveKind::kAllreduce) {
+    oss << "(count=" << rec.count << ")";
   }
   return oss.str();
 }
@@ -361,17 +328,10 @@ void CommChecker::check_collective_history(
             << " but rank " << r << " entered " << describe(rec)
             << "; every rank of a communicator must enter the same "
             << "collective in the same order";
-      } else if (rec.kind == CollectiveKind::kBroadcast &&
-                 rec.root != ref.root) {
-        oss << "collective #" << slot << ": broadcast with root " << ref.root
-            << " on rank 0 but root " << rec.root << " on rank " << r
-            << "; MPI requires every rank to pass the same root";
-      } else if (rec.count_must_agree &&
-                 (rec.op != ref.op || rec.count != ref.count)) {
+      } else if (rec.count != ref.count) {
         oss << "collective #" << slot << ": " << describe(ref)
             << " on rank 0 but " << describe(rec) << " on rank " << r
-            << "; allreduce requires the same ReduceOp and element count on "
-            << "every rank (a mismatch silently corrupts the reduction)";
+            << "; allreduce requires the same element count on every rank";
       } else {
         continue;
       }
@@ -475,10 +435,7 @@ std::vector<std::byte> CommChecker::serialize_child_state(int rank) const {
   out.u64(history.size());
   for (const CollectiveRecord& rec : history) {
     out.u8(static_cast<std::uint8_t>(rec.kind));
-    out.i32(rec.root);
-    out.i32(rec.op);
     out.u64(rec.count);
-    out.u8(rec.count_must_agree ? 1 : 0);
   }
 
   put_tally(out, sends_);
@@ -502,16 +459,12 @@ void CommChecker::absorb_child_state(int rank,
 
   auto& history = history_[static_cast<std::size_t>(rank)];
   history.clear();  // the parent never ran this rank; the slot is empty
-  // kind, root, op, count, count_must_agree
-  const std::uint64_t n_records = in.count(1 + 8 + 8 + 8 + 1);
+  const std::uint64_t n_records = in.count(1 + 8);  // kind, count
   history.reserve(n_records);
   for (std::uint64_t i = 0; i < n_records; ++i) {
     CollectiveRecord rec;
     rec.kind = static_cast<CollectiveKind>(in.u8());
-    rec.root = in.i32();
-    rec.op = in.i32();
     rec.count = static_cast<std::size_t>(in.u64());
-    rec.count_must_agree = in.u8() != 0;
     history.push_back(rec);
   }
 

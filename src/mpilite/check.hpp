@@ -8,9 +8,8 @@
 // stream (in the spirit of MUST) and reports, at runtime:
 //
 //   * collective mismatches — ranks entering different collectives at the
-//     same position in their call sequence, or the same collective with
-//     inconsistent root / ReduceOp / element count where MPI requires
-//     agreement;
+//     same position in their call sequence, or an allreduce with an
+//     element count that differs between ranks;
 //   * message leaks — point-to-point sends never received, reported per
 //     (source, dest, tag) at finalize;
 //   * deadlock — a watchdog that fires when every rank is simultaneously
@@ -88,11 +87,9 @@ namespace detail {
 
 /// Public entry points whose call sequences must agree across ranks.
 enum class CollectiveKind : std::uint8_t {
-  kBarrier,
   kAllreduce,
   kAllgatherv,
   kAlltoallv,
-  kBroadcast,
 };
 
 const char* to_string(CollectiveKind kind);
@@ -136,11 +133,10 @@ class CommChecker {
   void on_delivered(int rank, int source, int tag);
 
   /// Records entry into a collective at the next position of `rank`'s
-  /// collective call sequence. `root`/`op` are -1 when not applicable;
-  /// `count_must_agree` marks collectives where MPI requires equal
-  /// element counts on every rank (allreduce).
-  void on_collective(int rank, CollectiveKind kind, int root, int op,
-                     std::size_t count, bool count_must_agree);
+  /// collective call sequence. `count` is an allreduce's element count,
+  /// which MPI requires to be equal on every rank; the other collectives
+  /// pass 0.
+  void on_collective(int rank, CollectiveKind kind, std::size_t count);
 
   /// Marks `rank` as blocked inside `what` (a human-readable call-site
   /// description) / as running again. Used by the deadlock watchdog and
@@ -212,10 +208,7 @@ class CommChecker {
  private:
   struct CollectiveRecord {
     CollectiveKind kind;
-    int root;
-    int op;
     std::size_t count;
-    bool count_must_agree;
   };
 
   enum class Phase : std::uint8_t { kRunning, kBlocked, kDone };

@@ -1,16 +1,12 @@
 #include "mpilite/comm.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <tuple>
 #include <type_traits>
-
-#include "obs/trace.hpp"
 
 #include "mpilite/hub.hpp"
 #include "mpilite/shm.hpp"
@@ -27,11 +23,9 @@ namespace {
 constexpr int kSystemTagBase = 1 << 30;
 constexpr int kTagAllgather = kSystemTagBase + 1;
 constexpr int kTagAlltoall = kSystemTagBase + 2;
-constexpr int kTagBroadcast = kSystemTagBase + 3;
-constexpr int kTagReduce = kSystemTagBase + 4;
 }  // namespace
 
-Hub::Hub(int n) : size(n), barrier(n) {
+Hub::Hub(int n) : size(n) {
   mailboxes.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) mailboxes.push_back(std::make_unique<Mailbox>());
 }
@@ -101,68 +95,6 @@ void record_collective_seconds(const Hub& hub, const char* name,
       hub.obs.deterministic_timing ? 0.0 : timer.elapsed_seconds());
 }
 
-/// Buffers one side of a user point-to-point message for the post-join
-/// flow flush. Collectives are excluded by construction: they bypass
-/// send_bytes/recv_bytes and their waits are already accounted by the
-/// "mpilite.<collective>_s" histograms.
-void record_flow(Hub& hub, bool is_send, int source, int dest, int tag,
-                 std::size_t bytes) {
-  if (hub.obs.trace == nullptr) return;
-  std::lock_guard<std::mutex> lock(hub.flow_mutex);
-  auto& seq_map = is_send ? hub.flow_send_seq : hub.flow_recv_seq;
-  FlowRecord record;
-  record.source = source;
-  record.dest = dest;
-  record.tag = tag;
-  record.seq = seq_map[{source, dest, tag}]++;
-  record.bytes = bytes;
-  (is_send ? hub.flow_sends : hub.flow_recvs).push_back(record);
-}
-
-/// Drains the flow buffer into the TraceRecorder. Called from the
-/// orchestration thread after every rank thread has joined (the recorder
-/// is not thread-safe). Only matched pairs are emitted, in (source, dest,
-/// tag, seq) order, so the output is schedule-independent.
-void flush_flows(Hub& hub) {
-  obs::TraceRecorder* trace = hub.obs.trace;
-  if (trace == nullptr) return;
-  auto key_less = [](const FlowRecord& a, const FlowRecord& b) {
-    return std::tie(a.source, a.dest, a.tag, a.seq) <
-           std::tie(b.source, b.dest, b.tag, b.seq);
-  };
-  std::sort(hub.flow_sends.begin(), hub.flow_sends.end(), key_less);
-  std::sort(hub.flow_recvs.begin(), hub.flow_recvs.end(), key_less);
-
-  const std::uint32_t pid = trace->process("mpilite");
-  const double ts = trace->sim_hours();
-  auto recv_it = hub.flow_recvs.begin();
-  for (const FlowRecord& send : hub.flow_sends) {
-    while (recv_it != hub.flow_recvs.end() && key_less(*recv_it, send)) {
-      ++recv_it;
-    }
-    const bool matched = recv_it != hub.flow_recvs.end() &&
-                         !key_less(send, *recv_it);
-    if (!matched) continue;  // unreceived message: no edge, no dangling 's'
-    const std::string id = "msg:" + std::to_string(send.source) + "->" +
-                           std::to_string(send.dest) + ":t" +
-                           std::to_string(send.tag) + ":#" +
-                           std::to_string(send.seq);
-    trace->thread_name(pid, static_cast<std::uint32_t>(send.source),
-                       "rank " + std::to_string(send.source));
-    trace->thread_name(pid, static_cast<std::uint32_t>(send.dest),
-                       "rank " + std::to_string(send.dest));
-    obs::TraceArgs args;
-    args["bytes"] = send.bytes;
-    trace->flow_start(pid, static_cast<std::uint32_t>(send.source), "send",
-                      "mpilite", ts, id, args);
-    trace->flow_end(pid, static_cast<std::uint32_t>(send.dest), "recv",
-                    "mpilite", ts, id, std::move(args));
-    ++recv_it;
-  }
-  hub.flow_sends.clear();
-  hub.flow_recvs.clear();
-}
-
 void Mailbox::put(int source, int tag, Bytes payload) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -195,48 +127,15 @@ void Mailbox::wake_all() {
   cv_.notify_all();
 }
 
-void Barrier::arrive_and_wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (aborted_ != nullptr && aborted_->load()) {
-    throw AbortedError("mpilite: communicator aborted at barrier");
-  }
-  const std::uint64_t my_generation = generation_;
-  if (++waiting_ == parties_) {
-    waiting_ = 0;
-    ++generation_;
-    cv_.notify_all();
-    return;
-  }
-  cv_.wait(lock, [&] {
-    return generation_ != my_generation ||
-           (aborted_ != nullptr && aborted_->load());
-  });
-  if (generation_ == my_generation && aborted_ != nullptr && aborted_->load()) {
-    throw AbortedError("mpilite: communicator aborted at barrier");
-  }
-}
-
-void Barrier::set_abort_flag(const std::atomic<bool>* flag) { aborted_ = flag; }
-
-void Barrier::wake_all() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cv_.notify_all();
-}
-
 void Hub::abort() {
   aborted.store(true);
   if (shm) shm->abort();  // wakes blocked ranks in every process
   for (auto& mailbox : mailboxes) mailbox->wake_all();
-  barrier.wake_all();
 }
 
 std::vector<CheckReport> finish_run(
     Hub& hub, CommChecker* chk,
     const std::vector<std::exception_ptr>& errors) {
-  // Every rank is done; the orchestration thread owns the (not
-  // thread-safe) TraceRecorder again, so the flow buffer can drain.
-  flush_flows(hub);
-
   std::vector<CheckReport> reports;
   if (chk != nullptr) {
     chk->stop_watchdog();
@@ -327,7 +226,6 @@ void Comm::send_bytes(int dest, int tag, std::span<const std::byte> data) {
               "user tags must be in [0, 2^30)");
   bytes_sent_ += data.size();
   detail::count_message(*hub_, rank_, dest, data.size());
-  detail::record_flow(*hub_, /*is_send=*/true, rank_, dest, tag, data.size());
   if (hub_->shm) {
     if (dest == rank_) {
       shm_stash_[{rank_, tag}].emplace_back(data.begin(), data.end());
@@ -360,8 +258,6 @@ Bytes Comm::recv_bytes(int source, int tag) {
            ", tag=" + std::to_string(tag) + ")";
   };
   Bytes payload = take_blocking(source, tag, what);
-  detail::record_flow(*hub_, /*is_send=*/false, source, rank_, tag,
-                      payload.size());
   if (chk != nullptr) {
     chk->on_delivered(rank_, source, tag);
     chk->on_op_complete(rank_, what());
@@ -369,31 +265,10 @@ Bytes Comm::recv_bytes(int source, int tag) {
   return payload;
 }
 
-void Comm::barrier() {
-  auto* chk = checker();
-  if (chk != nullptr && !in_collective_) {
-    chk->on_collective(rank_, detail::CollectiveKind::kBarrier, -1, -1, 0,
-                       false);
-  }
-  detail::CollectiveScope scope(in_collective_);
-  const Timer timer;
-  {
-    detail::BlockGuard guard(chk, rank_, "barrier()");
-    if (hub_->shm) {
-      hub_->shm->barrier_collective(rank_, chk);
-    } else {
-      hub_->barrier.arrive_and_wait();
-    }
-  }
-  if (!scope.outer()) detail::record_collective_seconds(*hub_, "barrier", timer);
-  if (chk != nullptr && !scope.outer()) chk->on_op_complete(rank_, "barrier()");
-}
-
 Bytes Comm::allgatherv_bytes(Bytes mine) {
   auto* chk = checker();
   if (chk != nullptr && !in_collective_) {
-    chk->on_collective(rank_, detail::CollectiveKind::kAllgatherv, -1, -1,
-                       mine.size(), false);
+    chk->on_collective(rank_, detail::CollectiveKind::kAllgatherv, 0);
   }
   detail::CollectiveScope scope(in_collective_);
   const Timer timer;
@@ -443,8 +318,7 @@ Bytes Comm::allgatherv_bytes(Bytes mine) {
 std::vector<Bytes> Comm::alltoallv_bytes(const std::vector<Bytes>& outbox) {
   auto* chk = checker();
   if (chk != nullptr && !in_collective_) {
-    chk->on_collective(rank_, detail::CollectiveKind::kAlltoallv, -1, -1, 0,
-                       false);
+    chk->on_collective(rank_, detail::CollectiveKind::kAlltoallv, 0);
   }
   detail::CollectiveScope scope(in_collective_);
   const Timer timer;
@@ -484,122 +358,38 @@ std::vector<Bytes> Comm::alltoallv_bytes(const std::vector<Bytes>& outbox) {
   return inbox;
 }
 
-template <typename T>
-std::vector<T> Comm::allreduce_impl(std::span<const T> values, ReduceOp op) {
+std::vector<std::int64_t> Comm::allreduce(
+    std::span<const std::int64_t> values) {
   auto* chk = checker();
   if (chk != nullptr && !in_collective_) {
-    chk->on_collective(rank_, detail::CollectiveKind::kAllreduce, -1,
-                       static_cast<int>(op), values.size(), true);
+    chk->on_collective(rank_, detail::CollectiveKind::kAllreduce,
+                       values.size());
   }
   detail::CollectiveScope scope(in_collective_);
   const Timer timer;
-  // Gather everyone's vector, reduce locally in rank order. O(P^2)
-  // messages — fine for the rank counts we run (<= 64).
+  // Gather everyone's vector, sum locally in rank order. O(P^2) messages
+  // — fine for the rank counts we run (<= 64).
   Bytes raw = allgatherv_bytes(
       Bytes(reinterpret_cast<const std::byte*>(values.data()),
             reinterpret_cast<const std::byte*>(values.data()) +
-                values.size() * sizeof(T)));
+                values.size_bytes()));
   const std::size_t n = values.size();
-  EPI_REQUIRE(raw.size() == n * sizeof(T) * static_cast<std::size_t>(size()),
+  EPI_REQUIRE(raw.size() == values.size_bytes() *
+                                static_cast<std::size_t>(size()),
               "allreduce: ranks contributed different lengths");
-  std::vector<T> all(raw.size() / sizeof(T));
+  std::vector<std::int64_t> all(raw.size() / sizeof(std::int64_t));
   if (!raw.empty()) std::memcpy(all.data(), raw.data(), raw.size());
-  std::vector<T> result(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    T acc = all[i];
-    for (int r = 1; r < size(); ++r) {
-      const T x = all[static_cast<std::size_t>(r) * n + i];
-      switch (op) {
-        case ReduceOp::kSum: acc += x; break;
-        case ReduceOp::kMin: acc = std::min(acc, x); break;
-        case ReduceOp::kMax: acc = std::max(acc, x); break;
-        case ReduceOp::kLogicalOr:
-          acc = (acc != T{0} || x != T{0}) ? T{1} : T{0};
-          break;
-      }
+  std::vector<std::int64_t> result(n, 0);
+  for (int r = 0; r < size(); ++r) {
+    for (std::size_t i = 0; i < n; ++i) {
+      result[i] += all[static_cast<std::size_t>(r) * n + i];
     }
-    result[i] = acc;
   }
   if (!scope.outer()) {
     detail::record_collective_seconds(*hub_, "allreduce", timer);
   }
   if (chk != nullptr && !scope.outer()) chk->on_op_complete(rank_, "allreduce");
   return result;
-}
-
-std::vector<double> Comm::allreduce(std::span<const double> values,
-                                    ReduceOp op) {
-  return allreduce_impl(values, op);
-}
-
-double Comm::allreduce(double value, ReduceOp op) {
-  return allreduce(std::span<const double>(&value, 1), op)[0];
-}
-
-std::vector<std::int64_t> Comm::allreduce(std::span<const std::int64_t> values,
-                                          ReduceOp op) {
-  return allreduce_impl(values, op);
-}
-
-std::int64_t Comm::allreduce(std::int64_t value, ReduceOp op) {
-  return allreduce(std::span<const std::int64_t>(&value, 1), op)[0];
-}
-
-std::vector<double> Comm::broadcast(std::vector<double> value, int root) {
-  auto* chk = checker();
-  if (chk != nullptr && !in_collective_) {
-    chk->on_collective(rank_, detail::CollectiveKind::kBroadcast, root, -1,
-                       value.size(), false);
-  }
-  detail::CollectiveScope scope(in_collective_);
-  const Timer timer;
-  EPI_REQUIRE(root >= 0 && root < size(), "broadcast from invalid root");
-  if (rank_ == root) {
-    Bytes raw(reinterpret_cast<const std::byte*>(value.data()),
-              reinterpret_cast<const std::byte*>(value.data()) +
-                  value.size() * sizeof(double));
-    for (int dest = 0; dest < size(); ++dest) {
-      if (dest == root) continue;
-      bytes_sent_ += raw.size();
-      detail::count_message(*hub_, rank_, dest, raw.size());
-      if (!hub_->shm) {
-        hub_->mailboxes[static_cast<std::size_t>(dest)]->put(
-            rank_, detail::kTagBroadcast, raw);
-      }
-    }
-    if (hub_->shm) {
-      detail::BlockGuard guard(chk, rank_, [root] {
-        return "broadcast(root=" + std::to_string(root) + ")";
-      });
-      hub_->shm->broadcast(rank_, root, raw, chk);
-    }
-    if (!scope.outer()) {
-      detail::record_collective_seconds(*hub_, "broadcast", timer);
-    }
-    if (chk != nullptr && !scope.outer()) {
-      chk->on_op_complete(rank_, "broadcast(root=" + std::to_string(root) + ")");
-    }
-    return value;
-  }
-  Bytes raw;
-  const auto waiting = [root] {
-    return "broadcast: waiting for root " + std::to_string(root);
-  };
-  if (hub_->shm) {
-    detail::BlockGuard guard(chk, rank_, waiting);
-    raw = hub_->shm->broadcast(rank_, root, Bytes{}, chk);
-  } else {
-    raw = take_blocking(root, detail::kTagBroadcast, waiting);
-  }
-  std::vector<double> out(raw.size() / sizeof(double));
-  std::memcpy(out.data(), raw.data(), raw.size());
-  if (!scope.outer()) {
-    detail::record_collective_seconds(*hub_, "broadcast", timer);
-  }
-  if (chk != nullptr && !scope.outer()) {
-    chk->on_op_complete(rank_, "broadcast(root=" + std::to_string(root) + ")");
-  }
-  return out;
 }
 
 namespace {
@@ -635,7 +425,6 @@ std::vector<CheckReport> Runtime::run_impl(
   auto hub = std::make_shared<detail::Hub>(num_ranks);
   hub->obs = obs;
   for (auto& mailbox : hub->mailboxes) mailbox->set_abort_flag(&hub->aborted);
-  hub->barrier.set_abort_flag(&hub->aborted);
   detail::CommChecker* chk = nullptr;
   if (check_options != nullptr) {
     hub->checker =

@@ -5,8 +5,9 @@
 // crossing partition boundaries are exchanged each tick. This environment
 // has no MPI implementation installed, so mpilite provides the same
 // programming model — SPMD ranks, matched point-to-point sends/receives,
-// and the collectives EpiHiper needs (barrier, broadcast, allreduce,
-// allgatherv, alltoallv) — with ranks running as threads of one process.
+// and the collectives the engine issues (allgatherv, alltoallv and an
+// exact int64 sum allreduce) — with ranks running as threads of one
+// process.
 //
 // The abstraction boundary is faithful: simulator code addresses peers only
 // by rank and moves data only through Comm, so swapping in real MPI would
@@ -33,7 +34,6 @@
 
 namespace epi::obs {
 class MetricsRegistry;
-class TraceRecorder;
 }
 
 namespace epi::mpilite {
@@ -47,18 +47,9 @@ using Bytes = std::vector<std::byte>;
 /// (exactly 0.0 under deterministic_timing, keeping metrics files
 /// byte-reproducible). MetricsRegistry is thread-safe; ranks report
 /// concurrently. Null metrics = the exact unobserved seed path.
-///
-/// With `trace` set, every matched point-to-point send->recv pair is
-/// emitted as a causal flow edge ('s'/'f' sharing an id keyed by
-/// src/dst/tag/sequence — the per-(source, tag) FIFO mailbox guarantees
-/// the nth send matches the nth recv). The TraceRecorder is not
-/// thread-safe, so ranks buffer flow records inside the Hub under a mutex
-/// and Runtime::run flushes them — deterministically ordered — from the
-/// orchestration thread after the join.
 struct ObsHooks {
   obs::MetricsRegistry* metrics = nullptr;
   bool deterministic_timing = false;
-  obs::TraceRecorder* trace = nullptr;
 };
 
 /// Which transport carries a communicator group. The thread backend is the
@@ -100,30 +91,9 @@ class Mailbox {
   const std::atomic<bool>* aborted_ = nullptr;
 };
 
-/// Reusable generation-counting barrier.
-class Barrier {
- public:
-  explicit Barrier(int parties) : parties_(parties) {}
-  void arrive_and_wait();
-
-  void set_abort_flag(const std::atomic<bool>* flag);
-  void wake_all();
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  int parties_;
-  int waiting_ = 0;
-  std::uint64_t generation_ = 0;
-  const std::atomic<bool>* aborted_ = nullptr;
-};
-
 struct Hub;  // shared state for one communicator group
 
 }  // namespace detail
-
-/// Reduction operators for allreduce.
-enum class ReduceOp { kSum, kMin, kMax, kLogicalOr };
 
 /// A communicator handle owned by one rank. All methods are safe to call
 /// concurrently from the owning rank's thread only (as with MPI).
@@ -174,18 +144,11 @@ class Comm {
 
   // --- Collectives (must be called by all ranks) ------------------------
 
-  void barrier();
-
-  /// Element-wise reduction of a double vector across ranks; every rank
-  /// receives the result.
-  std::vector<double> allreduce(std::span<const double> values, ReduceOp op);
-  double allreduce(double value, ReduceOp op);
-  std::int64_t allreduce(std::int64_t value, ReduceOp op);
-
-  /// Exact integer reduction — no round-trip through double, so sums are
-  /// correct beyond 2^53 (population-scale counters need this).
-  std::vector<std::int64_t> allreduce(std::span<const std::int64_t> values,
-                                      ReduceOp op);
+  /// Element-wise sum of every rank's int64 vector (all of one length);
+  /// every rank receives the result. Exact — no round-trip through
+  /// double, so sums are correct beyond 2^53 (population-scale counters
+  /// need this).
+  std::vector<std::int64_t> allreduce(std::span<const std::int64_t> values);
 
   /// Concatenation of every rank's (variable-length) contribution, in rank
   /// order; every rank receives the full concatenation.
@@ -226,9 +189,6 @@ class Comm {
     return inbox;
   }
 
-  /// Broadcast from `root`: root's `value` is returned on every rank.
-  std::vector<double> broadcast(std::vector<double> value, int root);
-
   /// Total bytes this rank has sent through point-to-point and alltoallv
   /// (communication-volume accounting for the strong-scaling model).
   std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -239,9 +199,6 @@ class Comm {
       : hub_(std::move(hub)), rank_(rank) {}
 
   detail::CommChecker* checker() const;
-  /// The one allreduce body behind both element types (comm.cpp).
-  template <typename T>
-  std::vector<T> allreduce_impl(std::span<const T> values, ReduceOp op);
   /// `what` describes the blocked receive for the checker: a string, or a
   /// callable that formats one only when a checker is installed (comm.cpp).
   template <typename What>
@@ -299,8 +256,8 @@ class Runtime {
 
   /// The shm-backend launcher (shm.cpp): forks one process per rank over
   /// a shared segment, runs rank 0 on the calling thread, and merges each
-  /// child's shipped state (checker, flow records, metrics) before the
-  /// shared finalize path.
+  /// child's shipped state (checker, metrics) before the shared finalize
+  /// path.
   static std::vector<CheckReport> run_shm_impl(
       int num_ranks, const std::function<void(Comm&)>& body,
       const CheckOptions* check_options, const ObsHooks& obs);

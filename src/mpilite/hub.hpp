@@ -1,24 +1,21 @@
 // Internal shared state of one mpilite communicator group ("the Hub"),
 // split out of comm.cpp so both transport backends can see it:
 //
-//   * the thread backend (comm.cpp) — ranks as threads, Mailbox + Barrier;
+//   * the thread backend (comm.cpp) — ranks as threads over Mailboxes;
 //   * the shm backend (shm.cpp) — ranks as forked processes over a POSIX
 //     shared-memory segment, with the Hub per process (fork gives every
 //     child a copy-on-write snapshot; cross-process state lives in the
-//     ShmBackend's mapped segment, and per-process state — flow-record
-//     buffers, the child's local metrics registry — is shipped back to the
+//     ShmBackend's mapped segment, and per-process state — the child's
+//     checker tallies and local metrics registry — is shipped back to the
 //     parent through each child's exit pipe and merged after the run).
 //
 // Nothing here is public API; simulator code includes only comm.hpp.
 #pragma once
 
 #include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <exception>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "mpilite/comm.hpp"
@@ -28,19 +25,6 @@ namespace epi::mpilite::detail {
 
 class ShmBackend;
 
-/// One side of a point-to-point message, buffered for the post-join flow
-/// flush. `seq` is the per-(source, dest, tag) FIFO ordinal, which is
-/// exactly the mailbox matching rule, so the nth send pairs with the nth
-/// recv. Both counters are 64-bit: multi-process runs are sized for
-/// message volumes past 2^32.
-struct FlowRecord {
-  int source = 0;
-  int dest = 0;
-  int tag = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t bytes = 0;
-};
-
 struct Hub {
   explicit Hub(int n);
   ~Hub();  // out of line: ShmBackend is incomplete here
@@ -48,24 +32,14 @@ struct Hub {
   int size;
   std::atomic<bool> aborted{false};
   std::vector<std::unique_ptr<Mailbox>> mailboxes;
-  Barrier barrier;
   std::unique_ptr<CommChecker> checker;  // null unless checking enabled
   ObsHooks obs;                          // metrics null unless attached
 
   /// Non-null when this group runs over the process-spanning shared-memory
   /// backend; every Comm then routes point-to-point traffic through the
   /// segment's rings and collectives through its arena instead of the
-  /// Mailbox/Barrier pair above.
+  /// mailboxes above.
   std::unique_ptr<ShmBackend> shm;
-
-  // Flow-record buffer (see ObsHooks): ranks append under flow_mutex, the
-  // orchestration thread drains after the join (thread backend) or after
-  // merging every child's shipped records (shm backend).
-  std::mutex flow_mutex;
-  std::vector<FlowRecord> flow_sends;
-  std::vector<FlowRecord> flow_recvs;
-  std::map<std::tuple<int, int, int>, std::uint64_t> flow_send_seq;
-  std::map<std::tuple<int, int, int>, std::uint64_t> flow_recv_seq;
 
   /// Sets the abort flag (and the segment-wide flag under shm) and wakes
   /// every blocked rank of this process.
@@ -81,23 +55,12 @@ void count_message(const Hub& hub, int source, int dest, std::size_t bytes);
 void record_collective_seconds(const Hub& hub, const char* name,
                                const Timer& timer);
 
-/// Buffers one side of a user point-to-point message for the post-join
-/// flow flush.
-void record_flow(Hub& hub, bool is_send, int source, int dest, int tag,
-                 std::size_t bytes);
-
-/// Drains the flow buffer into the TraceRecorder (matched pairs only, in
-/// (source, dest, tag, seq) order). Must run on the orchestration thread
-/// after every rank finished — and, under shm, after child flow records
-/// were merged into the parent's buffers.
-void flush_flows(Hub& hub);
-
-/// The backend-independent tail of a run: flushes flows, stops the
-/// watchdog, classifies the shutdown (clean / deadlock / aborted — under
-/// shm the abort flag may live only in the segment), collects the
-/// checker's finalize reports, and rethrows the first rank error in rank
-/// order (with CheckError and AbortedError swallowed when the checker ran,
-/// since the reports carry the diagnosis). `errors` has one slot per rank;
+/// The backend-independent tail of a run: stops the watchdog, classifies
+/// the shutdown (clean / deadlock / aborted — under shm the abort flag may
+/// live only in the segment), collects the checker's finalize reports, and
+/// rethrows the first rank error in rank order (with CheckError and
+/// AbortedError swallowed when the checker ran, since the reports carry
+/// the diagnosis). `errors` has one slot per rank;
 /// child-process errors arrive reconstructed as exception_ptrs.
 std::vector<CheckReport> finish_run(Hub& hub, CommChecker* chk,
                                     const std::vector<std::exception_ptr>& errors);

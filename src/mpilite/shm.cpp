@@ -69,14 +69,12 @@ struct alignas(64) SegmentHeader {
   std::atomic<std::uint32_t> barrier_waiting{0};
 };
 
-/// One rank's published (kind, root) for the collective it is entering.
-/// Verified by every rank right after the entry barrier when the checker
-/// is on. Deliberately NOT op/count: those mismatches must complete and be
-/// reported from the recorded history at finalize, exactly as the thread
-/// backend does.
+/// One rank's published kind of the collective it is entering. Verified
+/// by every rank right after the entry barrier when the checker is on.
+/// Deliberately NOT the allreduce count: a count mismatch is reported from
+/// the recorded history at finalize, exactly as the thread backend does.
 struct alignas(64) ArenaStamp {
   std::atomic<std::uint32_t> kind{0};
-  std::atomic<std::int32_t> root{0};
 };
 
 /// One SPSC byte ring per (source -> dest) route. `head`/`tail` are free-
@@ -92,14 +90,6 @@ struct alignas(64) Ring {
 };
 
 std::atomic<unsigned> g_segment_counter{0};
-
-std::string describe_stamp(CollectiveKind kind, int root) {
-  std::string s = to_string(kind);
-  if (kind == CollectiveKind::kBroadcast) {
-    s += "(root=" + std::to_string(root) + ")";
-  }
-  return s;
-}
 
 }  // namespace
 
@@ -387,30 +377,24 @@ void ShmBackend::arena_barrier(int rank, CommChecker* chk, const char* what) {
   }
 }
 
-void ShmBackend::stamp_and_sync(int rank, CollectiveKind kind, int root,
+void ShmBackend::stamp_and_sync(int rank, CollectiveKind kind,
                                 CommChecker* chk, const char* what) {
   ArenaStamp& mine = layout_->stamps[rank];
   mine.kind.store(static_cast<std::uint32_t>(kind), std::memory_order_relaxed);
-  mine.root.store(root, std::memory_order_relaxed);
   arena_barrier(rank, chk, what);
   if (chk == nullptr) return;
 
   // Stamp verification: the entry barrier just proved every rank reached
   // *a* collective; the stamps prove it was the same one. Rank 0 scans its
   // peers, everyone else compares against rank 0, so a mismatch is
-  // reported from both perspectives. (kind, root) only — op/count
-  // disagreements complete and surface from the recorded history at
-  // finalize, keeping thread-backend semantics.
+  // reported from both perspectives.
   const auto check_against = [&](int other) {
-    const ArenaStamp& theirs = layout_->stamps[other];
     const auto their_kind = static_cast<CollectiveKind>(
-        theirs.kind.load(std::memory_order_relaxed));
-    const int their_root = theirs.root.load(std::memory_order_relaxed);
-    if (their_kind == kind && their_root == root) return;
+        layout_->stamps[other].kind.load(std::memory_order_relaxed));
+    if (their_kind == kind) return;
     std::ostringstream oss;
-    oss << "collective entry mismatch: this rank entered "
-        << describe_stamp(kind, root) << " but rank " << other << " entered "
-        << describe_stamp(their_kind, their_root)
+    oss << "collective entry mismatch: this rank entered " << to_string(kind)
+        << " but rank " << other << " entered " << to_string(their_kind)
         << "; every rank of a communicator must enter the same collective "
         << "in the same order";
     chk->report_violation(CheckKind::kCollectiveMismatch, rank, oss.str());
@@ -421,12 +405,6 @@ void ShmBackend::stamp_and_sync(int rank, CollectiveKind kind, int root,
   } else {
     check_against(0);
   }
-}
-
-void ShmBackend::barrier_collective(int rank, CommChecker* chk) {
-  stamp_and_sync(rank, CollectiveKind::kBarrier, -1, chk, "barrier()");
-  // Exit barrier: keeps the stamps stable until every rank verified them.
-  arena_barrier(rank, chk, "barrier()");
 }
 
 namespace {
@@ -442,7 +420,7 @@ Bytes ShmBackend::allgatherv(int rank, const Bytes& mine, CommChecker* chk,
                              CollectiveKind stamp_kind) {
   const int n = num_ranks_;
   layout_->len(rank, rank, n).store(mine.size(), std::memory_order_relaxed);
-  stamp_and_sync(rank, stamp_kind, -1, chk, "allgatherv");
+  stamp_and_sync(rank, stamp_kind, chk, "allgatherv");
 
   std::vector<std::uint64_t> sizes(static_cast<std::size_t>(n));
   std::uint64_t max_len = 0;
@@ -494,7 +472,7 @@ std::vector<Bytes> ShmBackend::alltoallv(int rank,
     layout_->len(rank, d, n).store(outbox[static_cast<std::size_t>(d)].size(),
                                    std::memory_order_relaxed);
   }
-  stamp_and_sync(rank, CollectiveKind::kAlltoallv, -1, chk, "alltoallv");
+  stamp_and_sync(rank, CollectiveKind::kAlltoallv, chk, "alltoallv");
 
   std::vector<std::uint64_t> in_sizes(static_cast<std::size_t>(n));
   std::uint64_t max_len = 0;
@@ -540,37 +518,6 @@ std::vector<Bytes> ShmBackend::alltoallv(int rank,
   return inbox;
 }
 
-Bytes ShmBackend::broadcast(int rank, int root, const Bytes& mine,
-                            CommChecker* chk) {
-  const int n = num_ranks_;
-  if (rank == root) {
-    layout_->len(root, root, n).store(mine.size(), std::memory_order_relaxed);
-  }
-  stamp_and_sync(rank, CollectiveKind::kBroadcast, root, chk, "broadcast");
-
-  const std::uint64_t len =
-      layout_->len(root, root, n).load(std::memory_order_relaxed);
-  Bytes out;
-  if (rank != root) out.resize(static_cast<std::size_t>(len));
-
-  const std::size_t rounds = rounds_for(len);
-  for (std::size_t round = 0; round < rounds; ++round) {
-    const std::uint64_t off = static_cast<std::uint64_t>(round) * kCellCap;
-    if (rank == root && off < len) {
-      const std::size_t chunk = std::min<std::size_t>(kCellCap, len - off);
-      std::memcpy(layout_->cell(root, root, n), mine.data() + off, chunk);
-    }
-    arena_barrier(rank, chk, "broadcast");
-    if (rank != root && off < len) {
-      const std::size_t chunk = std::min<std::size_t>(kCellCap, len - off);
-      std::memcpy(out.data() + off, layout_->cell(root, root, n), chunk);
-    }
-    arena_barrier(rank, chk, "broadcast");
-    if (chk != nullptr) chk->touch(rank);
-  }
-  return rank == root ? mine : out;
-}
-
 }  // namespace detail
 
 // --- The shm-backend SPMD launcher ---------------------------------------
@@ -578,34 +525,7 @@ Bytes ShmBackend::broadcast(int rank, int root, const Bytes& mine,
 namespace {
 
 using detail::CommChecker;
-using detail::FlowRecord;
 using detail::Hub;
-
-// Child exit blob helpers (util/bytes.hpp codec). A flow's ranks and tag
-// each take a u64 slot.
-
-void put_flows(ByteWriter& out, const std::vector<FlowRecord>& flows) {
-  out.u64(flows.size());
-  for (const FlowRecord& f : flows) {
-    out.i32(f.source);
-    out.i32(f.dest);
-    out.i32(f.tag);
-    out.u64(f.seq);
-    out.u64(f.bytes);
-  }
-}
-
-std::vector<FlowRecord> read_flows(ByteReader& in) {
-  std::vector<FlowRecord> out(in.count(5 * 8));
-  for (FlowRecord& f : out) {
-    f.source = in.i32();
-    f.dest = in.i32();
-    f.tag = in.i32();
-    f.seq = in.u64();
-    f.bytes = in.u64();
-  }
-  return out;
-}
 
 void write_all(int fd, const std::vector<std::byte>& data) {
   std::size_t done = 0;
@@ -642,8 +562,8 @@ constexpr std::uint8_t kChildAborted = 2;
 constexpr std::uint8_t kChildCheckError = 3;
 
 /// The forked rank's whole life: swap in a process-local metrics registry,
-/// run the body, then ship status + checker state + flow records + metrics
-/// through the exit pipe and _exit (no destructors: the parent owns the
+/// run the body, then ship status + checker state + metrics through the
+/// exit pipe and _exit (no destructors: the parent owns the
 /// segment, and gtest/atexit state inherited from the parent must not
 /// fire twice). `comm` is built by the caller (Runtime is Comm's friend;
 /// this free function is not).
@@ -684,8 +604,6 @@ constexpr std::uint8_t kChildCheckError = 3;
   blob.str(what);
   blob.u8(chk != nullptr ? 1 : 0);
   if (chk != nullptr) blob.bytes(chk->serialize_child_state(rank));
-  put_flows(blob, hub->flow_sends);
-  put_flows(blob, hub->flow_recvs);
   blob.u8(ship_metrics ? 1 : 0);
   if (ship_metrics) blob.bytes(local_metrics.serialize_state());
   write_all(write_fd, blob.take());
@@ -742,10 +660,9 @@ std::vector<CheckReport> Runtime::run_shm_impl(
   auto hub = std::make_shared<Hub>(num_ranks);
   hub->obs = obs;
   hub->shm = std::make_unique<detail::ShmBackend>(num_ranks);
-  // Mailboxes and the thread barrier are unused under shm, but keep their
-  // abort wiring so Hub::abort stays backend-agnostic.
+  // Mailboxes are unused under shm, but keep their abort wiring so
+  // Hub::abort stays backend-agnostic.
   for (auto& mailbox : hub->mailboxes) mailbox->set_abort_flag(&hub->aborted);
-  hub->barrier.set_abort_flag(&hub->aborted);
   CommChecker* chk = nullptr;
   if (check_options != nullptr) {
     hub->checker =
@@ -830,15 +747,6 @@ std::vector<CheckReport> Runtime::run_shm_impl(
         const std::vector<std::byte> checker_blob = in.bytes();
         if (chk != nullptr) chk->absorb_child_state(r, checker_blob);
       }
-      {
-        const std::vector<FlowRecord> sends = read_flows(in);
-        const std::vector<FlowRecord> recvs = read_flows(in);
-        std::lock_guard<std::mutex> lock(hub->flow_mutex);
-        hub->flow_sends.insert(hub->flow_sends.end(), sends.begin(),
-                               sends.end());
-        hub->flow_recvs.insert(hub->flow_recvs.end(), recvs.begin(),
-                               recvs.end());
-      }
       if (in.u8() != 0) {
         const std::vector<std::byte> metrics_blob = in.bytes();
         if (obs.metrics != nullptr) obs.metrics->merge_state(metrics_blob);
@@ -864,8 +772,8 @@ std::vector<CheckReport> Runtime::run_shm_impl(
     } catch (const Error& e) {
       // Truncated or missing blob: the child died before shipping state
       // (hard crash, _exit from library code). Surface a per-rank error;
-      // its checker state and flows are lost but the run terminates with
-      // a diagnosis instead of corrupting the merge.
+      // its checker state is lost but the run terminates with a diagnosis
+      // instead of corrupting the merge.
       std::ostringstream oss;
       oss << "mpilite: rank " << r << " process ("
           << pids[static_cast<std::size_t>(r)] << ") ";

@@ -10,7 +10,7 @@
 //              each rank's phase / blocked-site / last-op / progress that
 //              the parent's deadlock watchdog reads (check.hpp);
 //   arena      collective metadata: a u64 lens[n*n] matrix (64-bit size
-//              headers end to end) and one (kind, root) stamp per rank
+//              headers end to end) and one collective-kind stamp per rank
 //              that the CommChecker verifies after the entry barrier;
 //   rings      n*n single-producer single-consumer byte rings, one per
 //              (source -> dest) route, carrying framed point-to-point
@@ -19,8 +19,8 @@
 //              stream through it under backpressure;
 //   cells      n*n fixed data slots the collectives copy through in
 //              barrier-separated rounds (cell (s, d) carries s's
-//              contribution toward d; diagonal cells carry the
-//              one-to-all payloads of broadcast/allgatherv).
+//              contribution toward d; diagonal cells carry each rank's
+//              allgatherv contribution to every rank).
 //
 // Every blocking wait is a futex wait with a short timeout that re-checks
 // the abort flag, so one failing rank (or the watchdog) unwedges the whole
@@ -80,10 +80,6 @@ class ShmBackend {
 
   // --- Collectives (arena, barrier-separated rounds) --------------------
 
-  /// The plain barrier collective: stamp, entry barrier, stamp
-  /// verification, exit barrier.
-  void barrier_collective(int rank, CommChecker* chk);
-
   /// Concatenation of every rank's contribution in rank order (the exact
   /// bytes the thread backend's mailbox implementation returns).
   /// `stamp_kind` is the USER-level collective being verified — allreduce
@@ -96,9 +92,6 @@ class ShmBackend {
   /// from rank s.
   std::vector<Bytes> alltoallv(int rank, const std::vector<Bytes>& outbox,
                                CommChecker* chk);
-
-  /// Broadcast of root's raw bytes to every rank.
-  Bytes broadcast(int rank, int root, const Bytes& mine, CommChecker* chk);
 
   // --- Frame header encoding (exposed for the 64-bit regression test) ---
 
@@ -113,11 +106,11 @@ class ShmBackend {
  private:
   struct Layout;
 
-  // Arena phase 1: publish this rank's (kind, root) stamp, cross the entry
-  // barrier, and (checker only) verify every rank entered the same
+  // Arena phase 1: publish this rank's collective-kind stamp, cross the
+  // entry barrier, and (checker only) verify every rank entered the same
   // collective — recording + throwing CheckError on mismatch.
-  void stamp_and_sync(int rank, CollectiveKind kind, int root,
-                      CommChecker* chk, const char* what);
+  void stamp_and_sync(int rank, CollectiveKind kind, CommChecker* chk,
+                      const char* what);
   void arena_barrier(int rank, CommChecker* chk, const char* what);
   void wait_tick(std::atomic<std::uint32_t>& word, std::uint32_t seen) const;
 

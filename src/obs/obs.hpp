@@ -7,8 +7,9 @@
 // without code changes: from_env() returns a session writing
 // <dir>/trace.json (Chrome trace_event format, Perfetto loadable) and
 // <dir>/metrics.json (sorted-key snapshot). `EPI_TRACE_FLOW=0` disables
-// causal flow edges (send→recv, submit→start→finish) while keeping spans
-// and counters; any other value — or unset — leaves them on.
+// causal flow edges (farm submit→start→finish, service request→work)
+// while keeping spans and counters; any other value — or unset — leaves
+// them on.
 #pragma once
 
 #include <memory>

@@ -125,7 +125,7 @@ ServiceOutcome ScenarioService::serve(
   }
   const std::vector<std::shared_ptr<const std::string>> unit_responses =
       exec::parallel_index_map(plan.units.size(), run_unit,
-                               exec::ExecConfig{config_.jobs, 1, "service",
+                               exec::ExecConfig{config_.jobs, "service",
                                                 farm_obs});
 
   // ---- Virtual-latency schedule: list-schedule the executed units onto

@@ -71,7 +71,7 @@ inline constexpr EnvVarInfo kEnvRegistry[] = {
      "directory to write trace.json + metrics.json observability output "
      "(unset = observability fully off)"},
     {"EPI_TRACE_FLOW",
-     "causal flow edges in traces: 0 disables send->recv / task-chain "
+     "causal flow edges in traces: 0 disables task-chain / request "
      "arrows, anything else (or unset) leaves them on"},
 };
 

@@ -1,19 +1,24 @@
 // The transmission engine end to end: a serial oracle pinned while four
 // exchange modes still existed and agreed on it, serial/parallel
 // equivalence at 1/2/4/8 ranks, the parallel merge order and the whole
-// merged log, progression accounting, and quiescence tick skipping.
+// merged log, progression accounting, quiescence tick skipping, and the
+// collectives a parallel tick issues.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "epihiper/interventions.hpp"
 #include "epihiper/parallel.hpp"
 #include "epihiper/scripted.hpp"
+#include "obs/metrics.hpp"
 #include "synthpop/generator.hpp"
+#include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -67,9 +72,10 @@ DiseaseModel model_with(double transmissibility) {
   return covid_model(params);
 }
 
-// Contact tracing isolates *remote* persons (the owner-routed isolation
-// path), and isolation flips the advertised records of still-infectious
-// persons (changed-record halo deltas, not just became/left).
+// Contact tracing routes each traced person to the rank that owns them,
+// which isolates them, and isolation flips the advertised records of
+// still-infectious persons (changed-record halo deltas, not just
+// became/left).
 InterventionFactory stacked_interventions() {
   return [] {
     return std::vector<std::shared_ptr<Intervention>>{
@@ -289,7 +295,7 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, AdaptiveParallelEquivalence,
                          ::testing::Values(2, 4, 8));
 
 // The mild stack stays push-only, so every tick goes through the ghost
-// halo, carrying remote isolations and changed records.
+// halo, carrying the changed records of persons their owners isolated.
 class GhostHaloInterventionEquivalence
     : public ::testing::TestWithParam<int> {};
 
@@ -644,6 +650,52 @@ TEST(EventCore, DefaultInterventionHintBlocksSkipping) {
   const SimOutput out = run_dc(config, covid_model(), factory);
   EXPECT_EQ(out.ticks_executed, 30u);
   EXPECT_EQ(out.ticks_skipped, 0u);
+}
+
+// --- Communication per tick ------------------------------------------------
+
+// An executed parallel tick issues two collectives: the halo alltoallv and
+// the end-of-tick allgatherv. Beside them a replicate issues the
+// construction-time subscriber handshake (one alltoallv) and one
+// allgatherv per seeding spec; a skipped tick issues none.
+TEST(EventCore, ParallelTickIssuesTheHaloAndTheEndOfTickGatherOnly) {
+  constexpr std::uint64_t kRanks = 4;
+  SimulationConfig config = base_config(60);
+  config.seeds = {SeedSpec{0, 10, 30}, SeedSpec{0, 5, 40}};
+  obs::MetricsRegistry metrics;
+  mpilite::ObsHooks hooks;
+  hooks.metrics = &metrics;
+  hooks.deterministic_timing = true;
+  const SimOutput out = run_simulation_parallel(
+      test_region().network, test_region().population, covid_model(), config,
+      partition_network(test_region().network, kRanks),
+      static_cast<int>(kRanks), nullptr, hooks);
+  ASSERT_GT(out.ticks_skipped, 0u);
+  EXPECT_EQ(metrics.histogram_count("mpilite.alltoallv_s"),
+            kRanks * (out.ticks_executed + 1));
+  EXPECT_EQ(metrics.histogram_count("mpilite.allgatherv_s"),
+            kRanks * (out.ticks_executed + config.seeds.size()));
+  EXPECT_EQ(metrics.histogram_count("mpilite.allreduce_s"), 0u);
+}
+
+// Isolation, like every other per-person setter, acts on the rank's own
+// persons: a remote person is an error naming them.
+TEST(EventCore, IsolateIsLocalOnly) {
+  const Partitioning parts = partition_network(test_region().network, 2);
+  const PersonId remote = parts.part(1).node_begin;
+  std::string what;  // rank 0 runs in this process under both backends
+  mpilite::Runtime::run(2, [&](mpilite::Comm& comm) {
+    Simulation sim(test_region().network, test_region().population,
+                   covid_model(), base_config(), &comm, &parts);
+    if (comm.rank() != 0) return;
+    try {
+      sim.isolate(remote, 5);
+    } catch (const Error& e) {
+      what = e.what();
+    }
+  });
+  EXPECT_NE(what.find("person " + std::to_string(remote)), std::string::npos)
+      << what;
 }
 
 }  // namespace

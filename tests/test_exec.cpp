@@ -53,17 +53,11 @@ TEST(Executor, JobsFromEnvParsing) {
 
 TEST(Executor, EffectiveWorkersCaps) {
   // Item count caps the pool: no idle workers for a 2-task farm.
-  EXPECT_EQ(exec::effective_workers(8, 1, 2), 2u);
-  EXPECT_EQ(exec::effective_workers(0, 1, 100), 1u);
-  // Single-threaded tasks: an explicit jobs request is honored even above
-  // the core count (oversubscription only costs time-slicing).
-  EXPECT_EQ(exec::effective_workers(8, 1, 100), 8u);
-  // Rank-parallel tasks (mpilite ranks are threads): workers x ranks is
-  // capped against hardware concurrency, never below one worker.
-  const std::size_t hw = hardware_limit();
-  const std::size_t capped = exec::effective_workers(64, 4, 1000);
-  EXPECT_LE(capped * 4, std::max<std::size_t>(hw, 4));
-  EXPECT_GE(capped, 1u);
+  EXPECT_EQ(exec::effective_workers(8, 2), 2u);
+  EXPECT_EQ(exec::effective_workers(0, 100), 1u);
+  // An explicit jobs request is honored even above the core count
+  // (oversubscription only costs time-slicing).
+  EXPECT_EQ(exec::effective_workers(8, 100), 8u);
 }
 
 // ------------------------------------------------- ordering & identity ---

@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -34,29 +34,6 @@ void require_eq(const T& actual, const T& expected, const std::string& what) {
   }
   throw Error(oss.str());
 }
-
-/// Pins the thread backend for one test (saving/restoring the variable), for
-/// the few tests whose mechanism is inherently single-process.
-class ThreadBackendGuard {
- public:
-  ThreadBackendGuard() {
-    const char* current = std::getenv("EPI_MPILITE_BACKEND");
-    if (current != nullptr) saved_ = current;
-    had_value_ = current != nullptr;
-    setenv("EPI_MPILITE_BACKEND", "thread", 1);
-  }
-  ~ThreadBackendGuard() {
-    if (had_value_) {
-      setenv("EPI_MPILITE_BACKEND", saved_.c_str(), 1);
-    } else {
-      unsetenv("EPI_MPILITE_BACKEND");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_value_ = false;
-};
 
 TEST(Mpilite, SingleRankRuns) {
   std::atomic<int> calls{0};
@@ -125,82 +102,41 @@ TEST(Mpilite, EmptyMessageDelivered) {
   });
 }
 
-TEST(Mpilite, BarrierSynchronizes) {
-  // Observes the barrier through a shared atomic, which only exists with
-  // ranks as threads; the shm barrier is covered by the cross-backend
-  // identity and stress tests (test_mpilite_shm.cpp).
-  ThreadBackendGuard thread_backend;
-  std::atomic<int> before{0};
-  std::atomic<bool> violated{false};
-  Runtime::run(4, [&](Comm& comm) {
-    ++before;
-    comm.barrier();
-    if (before.load() != 4) violated = true;
-    comm.barrier();  // reusable
-  });
-  EXPECT_FALSE(violated.load());
+/// One-element allreduce.
+std::int64_t sum_over_ranks(Comm& comm, std::int64_t value) {
+  return comm.allreduce(std::span<const std::int64_t>(&value, 1))[0];
 }
 
 TEST(Mpilite, AllreduceSum) {
   Runtime::run(3, [](Comm& comm) {
-    const double result = comm.allreduce(static_cast<double>(comm.rank() + 1),
-                                         ReduceOp::kSum);
-    require_eq(result, 6.0, "sum allreduce");  // 1 + 2 + 3
-  });
-}
-
-TEST(Mpilite, AllreduceMinMax) {
-  Runtime::run(4, [](Comm& comm) {
-    const double value = static_cast<double>(comm.rank());
-    require_eq(comm.allreduce(value, ReduceOp::kMin), 0.0, "min allreduce");
-    require_eq(comm.allreduce(value, ReduceOp::kMax), 3.0, "max allreduce");
-  });
-}
-
-TEST(Mpilite, AllreduceLogicalOr) {
-  Runtime::run(3, [](Comm& comm) {
-    const double mine = comm.rank() == 1 ? 1.0 : 0.0;
-    require_eq(comm.allreduce(mine, ReduceOp::kLogicalOr), 1.0,
-               "logical-or with one contributor");
-    require_eq(comm.allreduce(0.0, ReduceOp::kLogicalOr), 0.0,
-               "logical-or with no contributor");
+    require_eq(sum_over_ranks(comm, comm.rank() + 1), std::int64_t{6},
+               "sum allreduce");  // 1 + 2 + 3
   });
 }
 
 TEST(Mpilite, AllreduceVectorElementwise) {
   Runtime::run(2, [](Comm& comm) {
-    const std::vector<double> mine = {static_cast<double>(comm.rank()), 10.0};
-    const auto out = comm.allreduce(std::span<const double>(mine),
-                                    ReduceOp::kSum);
-    require_eq(out[0], 1.0, "element 0 of vector allreduce");
-    require_eq(out[1], 20.0, "element 1 of vector allreduce");
+    const std::vector<std::int64_t> mine = {comm.rank(), 10};
+    const auto out = comm.allreduce(std::span<const std::int64_t>(mine));
+    require_eq(out[0], std::int64_t{1}, "element 0 of vector allreduce");
+    require_eq(out[1], std::int64_t{20}, "element 1 of vector allreduce");
   });
 }
 
 TEST(Mpilite, AllreduceInt64ExactBeyondDoublePrecision) {
-  // (2^53 + 1) is not representable as a double — the old route through
-  // the double allreduce silently rounded it. The integer path must not.
+  // (2^53 + 1) is not representable as a double, so a sum routed through
+  // double would silently round it. The integer path must not.
   constexpr std::int64_t big = (std::int64_t{1} << 53) + 1;
   Runtime::run(3, [](Comm& comm) {
-    const std::int64_t sum = comm.allreduce(big, ReduceOp::kSum);
-    require_eq(sum, 3 * big, "exact int64 sum");  // off by 1+ if rounded
+    require_eq(sum_over_ranks(comm, big), 3 * big,
+               "exact int64 sum");  // off by 1+ if rounded
     const std::vector<std::int64_t> mine = {
         big + comm.rank(), -static_cast<std::int64_t>(comm.rank()),
         comm.rank() == 2 ? std::int64_t{1} : std::int64_t{0}};
-    const auto out =
-        comm.allreduce(std::span<const std::int64_t>(mine), ReduceOp::kSum);
+    const auto out = comm.allreduce(std::span<const std::int64_t>(mine));
     require_eq(out[0], 3 * big + 3, "element 0 of int64 vector allreduce");
     require_eq(out[1], std::int64_t{-3}, "element 1 of int64 vector allreduce");
     require_eq(out[2], std::int64_t{1}, "element 2 of int64 vector allreduce");
-    require_eq(comm.allreduce(std::int64_t{comm.rank()} - 1, ReduceOp::kMin),
-               std::int64_t{-1}, "int64 min");
-    require_eq(comm.allreduce(big + comm.rank(), ReduceOp::kMax), big + 2,
-               "int64 max");
-    require_eq(comm.allreduce(std::int64_t{0}, ReduceOp::kLogicalOr),
-               std::int64_t{0}, "int64 logical-or of zeros");
-    require_eq(comm.allreduce(std::int64_t{comm.rank() == 1 ? 7 : 0},
-                              ReduceOp::kLogicalOr),
-               std::int64_t{1}, "int64 logical-or with one contributor");
   });
 }
 
@@ -229,19 +165,6 @@ TEST(Mpilite, AlltoallvRoutesPersonalizedMessages) {
   });
 }
 
-TEST(Mpilite, BroadcastFromEveryRoot) {
-  for (int root = 0; root < 3; ++root) {
-    Runtime::run(3, [root](Comm& comm) {
-      std::vector<double> value;
-      if (comm.rank() == root) value = {42.0, static_cast<double>(root)};
-      const auto out = comm.broadcast(value, root);
-      require_eq(out.size(), std::size_t{2}, "broadcast payload size");
-      require_eq(out[0], 42.0, "broadcast element 0");
-      require_eq(out[1], static_cast<double>(root), "broadcast element 1");
-    });
-  }
-}
-
 TEST(Mpilite, ExceptionOnOneRankPropagatesWithoutDeadlock) {
   EXPECT_THROW(
       Runtime::run(3,
@@ -250,7 +173,7 @@ TEST(Mpilite, ExceptionOnOneRankPropagatesWithoutDeadlock) {
                        throw Error("rank 1 failed");
                      }
                      // Other ranks block; the abort must wake them.
-                     comm.barrier();
+                     comm.allgatherv(std::vector<int>{comm.rank()});
                      comm.recv<int>(1, 0);
                    }),
       Error);

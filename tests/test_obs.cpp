@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -502,17 +503,18 @@ TEST(ObsMpilite, HooksCountMessagesAndCollectives) {
           const auto received = comm.recv<int>(0, 3);
           EXPECT_EQ(received.size(), 3u);
         }
-        comm.allreduce(1.0, mpilite::ReduceOp::kSum);
-        comm.barrier();
+        const std::vector<std::int64_t> one = {1};
+        comm.allreduce(std::span<const std::int64_t>(one));
+        comm.allgatherv(one);
       },
       hooks);
 
   EXPECT_GT(metrics.counter("mpilite.msgs.000->001"), 0u);
   EXPECT_GT(metrics.counter("mpilite.bytes.000->001"), 0u);
-  // One top-level observation per rank; nested internal collectives must
-  // not double-report.
+  // One top-level observation per rank; the allgatherv the allreduce runs
+  // on must not double-report.
   EXPECT_EQ(metrics.histogram_count("mpilite.allreduce_s"), 2u);
-  EXPECT_EQ(metrics.histogram_count("mpilite.barrier_s"), 2u);
+  EXPECT_EQ(metrics.histogram_count("mpilite.allgatherv_s"), 2u);
   // Deterministic timing: every observed duration is exactly zero.
   const Json snapshot = metrics.snapshot();
   EXPECT_DOUBLE_EQ(snapshot.at("histograms")
@@ -523,69 +525,14 @@ TEST(ObsMpilite, HooksCountMessagesAndCollectives) {
 }
 
 TEST(ObsMpilite, NullHooksLeaveNoFootprint) {
-  mpilite::Runtime::run(2, [](mpilite::Comm& comm) { comm.barrier(); },
-                        mpilite::ObsHooks{});
-  // Nothing to assert beyond "it ran": the null path must not crash.
-  SUCCEED();
-}
-
-TEST(ObsMpilite, FlowEdgesPairEverySendWithItsRecv) {
-  TraceRecorder trace(true);
-  mpilite::ObsHooks hooks;
-  hooks.deterministic_timing = true;
-  hooks.trace = &trace;
-  mpilite::Runtime::run(
-      3,
-      [](mpilite::Comm& comm) {
-        if (comm.rank() == 0) {
-          // Two messages on the same (src, dst, tag) route: the sequence
-          // number must keep their edges apart.
-          comm.send<int>(1, 7, std::vector<int>{1});
-          comm.send<int>(1, 7, std::vector<int>{2, 2});
-          comm.send<int>(2, 9, std::vector<int>{3});
-        } else if (comm.rank() == 1) {
-          comm.recv<int>(0, 7);
-          comm.recv<int>(0, 7);
-        } else {
-          comm.recv<int>(0, 9);
-        }
-        comm.barrier();  // collectives contribute no point-to-point edges
-      },
-      hooks);
-
-  const Json doc = trace.to_json();
-  const obs::TraceCheckResult result = obs::check_trace_json(doc);
-  EXPECT_TRUE(result.ok) << joined(result.errors);
-  EXPECT_EQ(result.flows, 3u);
-
-  std::vector<std::string> starts, ends;
-  for (const Json& event : doc.at("traceEvents").as_array()) {
-    const std::string& ph = event.at("ph").as_string();
-    if (ph == "s") starts.push_back(event.at("id").as_string());
-    if (ph == "f") ends.push_back(event.at("id").as_string());
-  }
-  const std::vector<std::string> expected{"msg:0->1:t7:#0", "msg:0->1:t7:#1",
-                                          "msg:0->2:t9:#0"};
-  EXPECT_EQ(starts, expected);  // every send edge...
-  EXPECT_EQ(ends, expected);    // ...reaches a matching recv
-}
-
-TEST(ObsMpilite, UnreceivedMessagesLeaveNoDanglingEdges) {
-  TraceRecorder trace(true);
-  trace.instant(trace.process("p"), 0, "run", "marker", 0.0);
-  mpilite::ObsHooks hooks;
-  hooks.deterministic_timing = true;
-  hooks.trace = &trace;
   mpilite::Runtime::run(
       2,
       [](mpilite::Comm& comm) {
-        if (comm.rank() == 0) comm.send<int>(1, 5, std::vector<int>{1});
-        // Rank 1 exits without receiving: the message stays in the mailbox.
+        comm.allgatherv(std::vector<int>{comm.rank()});
       },
-      hooks);
-  const obs::TraceCheckResult result = obs::check_trace_json(trace.to_json());
-  EXPECT_TRUE(result.ok) << joined(result.errors);
-  EXPECT_EQ(result.flows, 0u);
+      mpilite::ObsHooks{});
+  // Nothing to assert beyond "it ran": the null path must not crash.
+  SUCCEED();
 }
 
 // ------------------------------------------------------- exec flows ----

@@ -216,20 +216,6 @@ TEST(Simulation, MemoryFootprintRecordedAndGrowing) {
             out.memory_bytes_per_tick.front());
 }
 
-TEST(Simulation, RecordTransitionsOffStillCountsInfections) {
-  const DiseaseModel model = covid_model();
-  SimulationConfig config = base_config(60);
-  const SimOutput with = run_simulation(test_region().network,
-                                        test_region().population, model,
-                                        config);
-  config.record_transitions = false;
-  const SimOutput without = run_simulation(test_region().network,
-                                           test_region().population, model,
-                                           config);
-  EXPECT_TRUE(without.transitions.empty());
-  EXPECT_EQ(without.total_infections, with.total_infections);
-}
-
 TEST(Simulation, PerTickInfectionsSumToTotal) {
   const DiseaseModel model = covid_model();
   const SimOutput out = run_simulation(test_region().network,
